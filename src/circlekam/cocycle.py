@@ -255,15 +255,29 @@ def holonomy(bundle: UnitaryFlatBundle, loop: Sequence) -> float:
     return float(total % TWO_PI)
 
 
-def mode_matrix(bundle: UnitaryFlatBundle, n: int) -> np.ndarray:
+def _mode_tensor(bundle: UnitaryFlatBundle, modes: np.ndarray) -> np.ndarray:
+    """Stacked mode matrices, shape (len(modes), edges, charts): row e of
+    matrix i is ``e^{i n phi_e}`` at chart dst(e) minus 1 at chart src(e)."""
     nerve = bundle.nerve
-    a = np.zeros((len(nerve.edges), len(nerve.charts)), dtype=complex)
-    for row, (e, phi) in enumerate(zip(nerve.edges, bundle.phases)):
-        j = nerve.chart_index(e.src)
-        k = nerve.chart_index(e.dst)
-        a[row, k] += np.exp(1j * n * phi)
-        a[row, j] -= 1.0
+    rows = np.arange(len(nerve.edges))
+    src = np.array([nerve.chart_index(e.src) for e in nerve.edges], dtype=int)
+    dst = np.array([nerve.chart_index(e.dst) for e in nerve.edges], dtype=int)
+    phases = np.array(bundle.phases, dtype=float)
+    a = np.zeros((len(modes), rows.size, len(nerve.charts)), dtype=complex)
+    a[:, rows, dst] += np.exp(1j * (modes[:, None] * phases[None, :]))
+    a[:, rows, src] -= 1.0
     return a
+
+
+def mode_matrix(bundle: UnitaryFlatBundle, n: int) -> np.ndarray:
+    return _mode_tensor(bundle, np.array([n]))[0]
+
+
+def _rank_deficient(svals: np.ndarray, n_charts: int) -> np.ndarray:
+    """Per stacked spectrum (descending singular values on the last axis):
+    fewer than ``n_charts`` values above ``RANK_RCOND * max(1, s_max)``."""
+    floor = RANK_RCOND * np.maximum(1.0, svals[..., :1])
+    return np.sum(svals > floor, axis=-1) < n_charts
 
 
 @dataclass(frozen=True)
@@ -294,6 +308,19 @@ def _resonant_cycle(bundle: UnitaryFlatBundle, n: int):
             best_gap = gap
             best = (cyc, h)
     return best
+
+
+def _raise_if_resonant(bundle: UnitaryFlatBundle, n: int) -> None:
+    """Raise for a rank-deficient mode n unless the nerve is a forest, where
+    rank deficiency is plain gauge freedom."""
+    hit = _resonant_cycle(bundle, n)
+    if hit is not None:
+        cyc, h = hit
+        raise ResonantModeError(
+            mode=n,
+            loop=[f"{'+' if s > 0 else '-'}{e}" for e, s in cyc],
+            holonomy=float((n * h) % TWO_PI),
+        )
 
 
 def solve_mode(
@@ -327,18 +354,9 @@ def solve_mode(
 
     a_mat = mode_matrix(bundle, n)
     svals = np.linalg.svd(a_mat, compute_uv=False)
-    s_max = float(svals[0]) if svals.size else 0.0
-    rank = int(np.sum(svals > RANK_RCOND * max(1.0, s_max)))
-    deficient = rank < len(nerve.charts)
+    deficient = bool(_rank_deficient(svals, len(nerve.charts)))
     if deficient:
-        hit = _resonant_cycle(bundle, n)
-        if hit is not None:
-            cyc, h = hit
-            raise ResonantModeError(
-                mode=n,
-                loop=[f"{'+' if s > 0 else '-'}{e}" for e, s in cyc],
-                holonomy=float((n * h) % TWO_PI),
-            )
+        _raise_if_resonant(bundle, n)
 
     sol, *_ = np.linalg.lstsq(a_mat, bvec, rcond=RANK_RCOND)
     residual = float(np.max(np.abs(a_mat @ sol - bvec))) if bvec.size else 0.0
@@ -353,31 +371,31 @@ def solve_mode(
 
 def amplification_spectrum(bundle: UnitaryFlatBundle, n_max: int) -> dict:
     """Per-mode operator norm (inf to inf) of the min-norm solution map,
-    for all modes 0 < |n| <= n_max; raises on the first resonant mode."""
+    for all modes 0 < |n| <= n_max; raises on the first resonant mode.
+
+    All 2 n_max mode matrices are built as one stacked array, and one
+    batched SVD gives both the rank test and the pseudo-inverses.
+    """
     if n_max < 1:
         raise ValidationError("n_max must be positive")
-    out: dict[int, float] = {}
-    n_charts = len(bundle.nerve.charts)
-    n_edges = len(bundle.nerve.edges)
     # ascending |n| so the fundamental resonance is the one reported
-    for k in range(1, n_max + 1):
-        for n in (k, -k):
-            a_mat = mode_matrix(bundle, n)
-            svals = np.linalg.svd(a_mat, compute_uv=False)
-            s_max = float(svals[0]) if svals.size else 0.0
-            rank = int(np.sum(svals > RANK_RCOND * max(1.0, s_max)))
-            if rank < n_charts:
-                hit = _resonant_cycle(bundle, n)
-                if hit is not None:
-                    cyc, h = hit
-                    raise ResonantModeError(
-                        mode=n,
-                        loop=[f"{'+' if s > 0 else '-'}{e}" for e, s in cyc],
-                        holonomy=float((n * h) % TWO_PI),
-                    )
-            pinv = np.linalg.pinv(a_mat, rcond=RANK_RCOND)
-            out[n] = float(np.max(np.sum(np.abs(pinv), axis=1))) if n_edges else 0.0
-    return out
+    modes = np.arange(1, n_max + 1).repeat(2) * np.tile([1, -1], n_max)
+    if not bundle.nerve.edges:
+        return {int(n): 0.0 for n in modes}   # no cycles, no resonance
+    # conj(A) has the singular values of A; its SVD is the one
+    # numpy.linalg.pinv factors, and the pseudo-inverse below is formed
+    # exactly as pinv forms it
+    u, s, vt = np.linalg.svd(_mode_tensor(bundle, modes).conj(),
+                             full_matrices=False)
+    deficient = np.flatnonzero(_rank_deficient(s, len(bundle.nerve.charts)))
+    if deficient.size:
+        # whether a rank drop is resonant depends on the nerve, not on n
+        _raise_if_resonant(bundle, int(modes[deficient[0]]))
+    large = s > RANK_RCOND * np.max(s, axis=-1, keepdims=True)
+    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    norms = np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
+    return dict(zip(modes.tolist(), norms.tolist()))
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ One step at level m does, for a transition system of width sigma_m:
    re-extract phases and hats, and certify that the new norms contract
    quadratically below the schedule's delta sequence.
 
-The schedule itself is closed-form: ``eta_{m+1} = mu^(-1/(mu+1)) eta_m``,
-``sigma_{m+1} = sigma_m - 4 eta_m``, ``delta_{m+1} = (1 + e^sigma0) C1
-delta_m^2 / eta_m^(mu+1)``, started at ``delta_0 = min(eta_0,
+The schedule is a set of recursions: ``eta_{m+1} = mu^(-1/(mu+1))
+eta_m``, ``sigma_{m+1} = sigma_m - 4 eta_m``, ``delta_{m+1} = (1 +
+e^sigma0) C1 delta_m^2 / eta_m^(mu+1)``, started at ``delta_0 = min(eta_0,
 eta_0^(mu+1) / ((1 + e^sigma0) C1 mu))``. With ``strict_schedule`` the run
 aborts on the first failed certificate; otherwise failures are logged in the
 trace and the iteration continues, which is how behaviour outside the
@@ -184,19 +184,21 @@ class KamParams:
 def schedule(params: KamParams, m: int) -> tuple[float, float, float]:
     """(sigma_m, eta_m, delta_m): widths and gates at level m.
 
-    eta and sigma are closed-form (geometric sequence and its partial sums),
-    delta follows its quadratic recursion from delta_0.
+    eta is geometric; sigma and delta follow their recursions from level 0,
+    sigma by exactly the subtraction ``sigma_m - 4 eta_m`` that a step uses
+    for the width of the renewed system, so the two agree to the last bit.
     """
     if m < 0:
         raise ValidationError("m must be nonnegative")
     r = params.ratio
-    eta_m = params.eta0 * r**m
-    sigma_m = params.sigma0 - 4.0 * params.eta0 * (1.0 - r**m) / (1.0 - r)
+    sigma = params.sigma0
     delta = params.delta0
     factor = (1.0 + math.exp(params.sigma0)) * params.c1
     for i in range(m):
-        delta = factor * delta**2 / (params.eta0 * r**i) ** (params.mu + 1.0)
-    return sigma_m, eta_m, delta
+        eta_i = params.eta0 * r**i
+        sigma = sigma - 4.0 * eta_i
+        delta = factor * delta**2 / eta_i ** (params.mu + 1.0)
+    return sigma, params.eta0 * r**m, delta
 
 
 def resolve_c0(system: TransitionSystem, params: KamParams) -> KamParams:
@@ -344,34 +346,27 @@ def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
     nerve = system.nerve
     bundle = system.bundle()
     n_t = params.n_trunc
-    coeffs = {c: np.zeros(2 * n_t + 1, dtype=complex) for c in nerve.charts}
-    modes = {}
-    for n in range(-n_t, n_t + 1):
-        if n == 0:
-            continue
-        b = np.array([f.hat.coeff(n) for f in system.transitions])
-        if np.any(np.abs(b) > 0):
-            modes[n] = b
+    hats = np.array([f.hat.dense(n_t) for f in system.transitions])
+    populated = np.any(np.abs(hats) > 0, axis=0)
+    populated[n_t] = False
     # solvability is judged against the dominant mode of the step; sub-scale
     # modes carry round-off whose inconsistency means nothing
-    scale = max((float(np.max(np.abs(b))) for b in modes.values()), default=0.0)
+    scale = float(np.max(np.abs(hats[:, populated]))) if populated.any() else 0.0
+    coeffs = np.zeros((len(nerve.charts), 2 * n_t + 1), dtype=complex)
     worst = 0.0
-    solved = 0
+    modes = (np.flatnonzero(populated) - n_t).tolist()
     for n in sorted(modes, key=lambda k: (abs(k), -k)):
-        b = modes[n]
-        sol = solve_mode(bundle, n, b,
+        sol = solve_mode(bundle, n, hats[:, n + n_t],
                          solvability_tol=COBOUNDARY_REL_TOL * scale)
         worst = max(worst, sol.residual)
-        solved += 1
-        for c, val in zip(nerve.charts, sol.a):
-            coeffs[c][n + n_t] = val
+        coeffs[:, n + n_t] = sol.a
     report.worst_mode_residual = worst
-    report.modes_solved = solved
+    report.modes_solved = len(modes)
 
     psis = {}
     proj = 0.0
-    for c in nerve.charts:
-        hat = LaurentSeries(coeffs[c], sigma_m - eta_m)
+    for c, row in zip(nerve.charts, coeffs):
+        hat = LaurentSeries(row, sigma_m - eta_m)
         hat, defect = symmetrize(hat)
         proj = max(proj, defect)
         psis[c] = CircleDiffeo(0.0, hat)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circlekam import (
+    CircleDiffeo,
     Conjugacy,
     KamParams,
     LaurentSeries,
@@ -12,7 +13,9 @@ from circlekam import (
     ValidationError,
     alpha_vs_rotation,
     apply_inverse,
+    build_genus2,
     build_single_chart,
+    conjugated_rotation,
     eval_diffeo,
     gate_check,
     kam_step,
@@ -87,6 +90,15 @@ class TestSchedule:
             want_d = factor * d_prev**2 / e_prev ** (p.mu + 1)
             assert abs(d - want_d) <= 1e-12 * want_d
             s_prev, e_prev, d_prev = s, e, d
+
+    def test_width_recursion_is_exact(self):
+        # the renewed system's width sigma_m - 4 eta_m is the next schedule
+        # width to the last bit, for the default eta0 on thin annuli too
+        for sigma0 in np.linspace(0.1, 0.3, 64):
+            p = KamParams.from_json_dict({"sigma0": float(sigma0), "C0": 1.0})
+            for m in range(6):
+                s, e, _ = schedule(p, m)
+                assert schedule(p, m + 1)[0] == s - 4.0 * e
 
     def test_delta_stays_below_both_eta_gates(self):
         # the two closing inequalities that keep the induction alive
@@ -218,6 +230,40 @@ class TestRun:
             res = run(sc.system, sc.params)
             assert res.converged
             assert res.trace.violations == []
+
+    def test_thin_annulus_default_eta0_reaches_step_two(self):
+        # at this sigma0 a closed-form sigma_2 rounded 1 ulp above the
+        # renewed width and the run died with AnnulusDomainError
+        sigma0 = 0.14126984126984127
+        coeffs = {}
+        for n in range(1, 9):
+            c = 1e-5 * np.exp(-1.05 * sigma0 * n) * np.exp(1j * n)
+            coeffs[n], coeffs[-n] = c, -np.conj(c)
+        hat = LaurentSeries.from_coeffs(coeffs, sigma0, n_trunc=32)
+        sc = build_single_chart(GOLDEN, hat, sigma0, n_trunc=32,
+                                strict_schedule=False)
+        res = run(sc.system, sc.params)
+        assert res.converged and res.steps == 2
+        assert res.conjugation_residual <= 1e-10
+
+    def test_genus2_large_truncation_certificates_finite(self, rng):
+        # N * sigma0 = 1024: majorants of sparse hats must stay finite
+        psi = CircleDiffeo(0.0, random_symmetric_hat(rng, 1.2, 5e-5))
+        th1, th2 = safe_rotation_numbers(rng, 2)
+        f1 = conjugated_rotation(psi, TWO_PI * th1, 1024, 1.0)
+        f2 = conjugated_rotation(psi, TWO_PI * th2, 1024, 1.0)
+        sc = build_genus2(f1, f2, 1.0, eta0=0.05, n_trunc=1024,
+                          strict_schedule=False)
+        params = resolve_c0(sc.system, sc.params)
+        system = sc.system
+        for m in range(2):
+            system, _, rep = kam_step(system, m, params)
+            for rec in rep.certificates.values():
+                assert math.isfinite(rec.lhs) and math.isfinite(rec.rhs), rec
+            assert "coefficient_decay" not in rep.violations
+        res = run(sc.system, sc.params)
+        assert res.converged
+        assert all(math.isfinite(r.max_hat_norm) for r in res.trace.rows)
 
     def test_trace_csv_shape(self):
         sc = golden_scenario(1e-4, strict=False)

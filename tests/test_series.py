@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,25 @@ class TestMajorant:
         grid = np.linspace(0.05, 1.0, 12)
         vals = [majorant_norm(s, sp) for sp in grid]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_large_truncation_stays_finite(self, rng):
+        # N * sigma = 1024 > 709: zero coefficients must not make 0 * inf = NaN
+        s = random_symmetric_hat(rng, width=1.0, scale=1e-3, max_mode=4, n_trunc=1024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            maj = majorant_norm(s, 1.0)
+            dmaj = log_derivative_majorant(s, 1.0)
+        small, _ = s.retruncate(4)
+        # the same terms, summed in another order
+        assert maj == pytest.approx(majorant_norm(small, 1.0), rel=1e-14)
+        assert dmaj == pytest.approx(log_derivative_majorant(small, 1.0), rel=1e-14)
+
+    def test_overflowing_nonzero_coefficient_is_inf(self):
+        s = LaurentSeries.from_coeffs({1024: 1e-300, 1: 0.1}, width=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert majorant_norm(s, 1.0) == np.inf
+            assert log_derivative_majorant(s, 1.0) == np.inf
 
 
 @settings(max_examples=50, deadline=None)
@@ -222,3 +242,10 @@ class TestRetruncate:
         assert small.truncation == 2
         assert abs(lost - 0.5) < 1e-15
         assert small.coeff(1) == 1.0
+
+    def test_dense_window_pads_and_cuts(self):
+        s = LaurentSeries.from_coeffs({1: 1.0, -3: 2.0j, 5: 0.25}, 1.0)
+        for n_t in (0, 2, 5, 9):
+            got = s.dense(n_t)
+            assert got.shape == (2 * n_t + 1,)
+            assert all(got[n + n_t] == s.coeff(n) for n in range(-n_t, n_t + 1))
