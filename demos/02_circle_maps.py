@@ -36,7 +36,7 @@ g = expand(eval_diffeo(f, unit_circle(64)), n_trunc=8, width=1.0)
 print(f"phase error {abs(g.phase - f.phase):.2e}, "
       f"c1 error {abs(g.hat.coeff(1) - eps):.2e}")
 
-print("\n== rotation number: lift orbit with Richardson extrapolation ==")
+print("\n== rotation number: weighted Birkhoff average of the lift orbit ==")
 rho = rotation_number(f)
 print(f"rho(f) = {rho:.10f}  (phase / 2 pi = {GOLDEN:.10f})")
 print(f"offset created by the perturbation: {abs(rho - GOLDEN):.2e}")

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import engine
+from .circle import ROTATION_ITERS
 from .cocycle import amplification_spectrum, fit_diophantine
 from .errors import (
     CertificateError,
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rot = sub.add_parser("rotnum", help="per-edge rotation numbers")
     p_rot.add_argument("scenario")
-    p_rot.add_argument("--iters", type=int, default=32768)
+    p_rot.add_argument("--iters", type=int, default=ROTATION_ITERS)
     p_rot.set_defaults(fn=_cmd_rotnum)
 
     p_dioph = sub.add_parser("dioph", help="amplification spectrum and C0 fit")

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import (
+    ROTATION_ITERS,
     CircleDiffeo,
     apply_inverse,
     compose,
@@ -657,7 +658,7 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     )
 
 
-def alpha_vs_rotation(system: TransitionSystem, iters: int = 32768) -> list:
+def alpha_vs_rotation(system: TransitionSystem, iters: int = ROTATION_ITERS) -> list:
     """Per-edge comparison of the multiplier phase with 2 pi times the
     rotation number. Diagnostic only; nothing is asserted."""
     out = []

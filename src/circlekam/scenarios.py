@@ -64,35 +64,42 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
+        """Parse and validate a scenario document.
+
+        Every type or value failure of the document, including non-finite
+        widths, phases and hat coefficients, raises :class:`SchemaError`.
+        """
         if not isinstance(doc, dict) or doc.get("schema") != 1:
-            raise SchemaError(f"unsupported scenario schema {doc.get('schema')!r}")
+            schema = doc.get("schema") if isinstance(doc, dict) else doc
+            raise SchemaError(f"unsupported scenario schema {schema!r}")
         try:
             width = float(doc["width"])
             charts = tuple(doc["charts"])
-            edge_docs = doc["edges"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad scenario document: {exc}") from exc
-        edges = []
-        transitions = []
-        for ed in edge_docs:
-            try:
+            edges = []
+            transitions = []
+            for ed in doc["edges"]:
                 edges.append(Edge(ed["from"], ed["to"], ed["label"]))
-                transitions.append(
-                    CircleDiffeo(
-                        float(ed["phase"]), LaurentSeries.from_json_dict(ed["hat"])
-                    )
-                )
-            except KeyError as exc:
-                raise SchemaError(f"edge document missing field {exc}") from exc
-        nerve = Nerve(charts, tuple(edges),
-                      tuple(tuple(t) for t in doc.get("triples", [])))
+                phase = float(ed["phase"])
+                hat = LaurentSeries.from_json_dict(ed["hat"])
+                if not (math.isfinite(phase) and np.all(np.isfinite(hat.coeffs))):
+                    raise SchemaError(f"edge {edges[-1]} has a non-finite phase "
+                                      "or hat coefficient")
+                transitions.append(CircleDiffeo(phase, hat))
+            if not math.isfinite(width):
+                raise SchemaError(f"scenario width {width!r} is not finite")
+            nerve = Nerve(charts, tuple(edges),
+                          tuple(tuple(t) for t in doc.get("triples", [])))
+            params = KamParams.from_json_dict(doc.get("params", {}), sigma0=width)
+            outputs = tuple(doc.get("outputs", ("trace", "conjugacy", "diagnostics")))
+        except KeyError as exc:
+            raise SchemaError(f"scenario document missing field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"bad scenario document: {exc}") from exc
         system = TransitionSystem(nerve, tuple(transitions), width)
-        params = KamParams.from_json_dict(doc.get("params", {}), sigma0=width)
         if abs(params.sigma0 - width) > 1e-12:
             raise ValidationError(
                 f"params sigma0 {params.sigma0} disagrees with system width {width}"
             )
-        outputs = tuple(doc.get("outputs", ("trace", "conjugacy", "diagnostics")))
         return cls(name=str(doc.get("name", "scenario")), system=system,
                    params=params, outputs=outputs)
 

@@ -262,14 +262,27 @@ def coeffs_from_circle(
     with geometric coefficient decay that pushes aliasing into round-off.
     ``width`` is the annulus of validity the caller certifies for the result.
     """
+    spectrum = circle_spectrum(fvals, n_trunc)
+    return LaurentSeries(band_coeffs(spectrum, n_trunc), width)
+
+
+def circle_spectrum(fvals: Sequence[complex] | np.ndarray, n_trunc: int) -> np.ndarray:
+    """Normalised DFT ``fft(f) / M`` of M equispaced unit-circle samples:
+    entry k is the coefficient of ``w^k`` (k < M/2) or ``w^(k-M)`` up to
+    aliasing. Raises unless ``M >= 4 n_trunc``, as :func:`coeffs_from_circle`."""
     vals = np.asarray(fvals, dtype=complex)
     m = vals.size
     if m < 4 * n_trunc or m < 1:
         raise InsufficientSamplesError(
             f"need at least 4N={4 * n_trunc} samples, got {m}"
         )
-    spectrum = np.fft.fft(vals) / m
-    return LaurentSeries(spectrum[np.arange(-n_trunc, n_trunc + 1) % m], width)
+    return np.fft.fft(vals) / m
+
+
+def band_coeffs(spectrum: np.ndarray, n_trunc: int) -> np.ndarray:
+    """Coefficients ``|n| <= n_trunc`` of a :func:`circle_spectrum`, in the
+    dense order of :class:`LaurentSeries`."""
+    return spectrum[np.arange(-n_trunc, n_trunc + 1) % spectrum.size]
 
 
 @dataclass(frozen=True)

@@ -212,9 +212,10 @@ def test_criterion_6_simultaneous_linearization():
         d = abs(phi - TWO_PI * r) % TWO_PI
         rot_err = max(rot_err, min(d, TWO_PI - d))
     res = max(sim.residuals["U1"], sim.residuals["U2"])
-    ok &= res <= 1e-8 and rot_err <= 1e-6
+    ok &= res <= 1e-8 and rot_err <= 1e-10
     report(6, ok, f"genus-2 pair (hat scale {scale:.1e}): residuals "
-                  f"{res:.2e} <= 1e-8, rotations match 2 pi rho to {rot_err:.2e}")
+                  f"{res:.2e} <= 1e-8, rotations match 2 pi rho to {rot_err:.2e} "
+                  f"<= 1e-10")
 
 
 class TestCriterion7Invariances:

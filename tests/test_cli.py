@@ -142,6 +142,39 @@ class TestRotnum:
         assert abs(row["phase"] - TWO_PI * GOLDEN) < 1e-12
 
 
+
+def _break_eta0(doc):
+    doc["params"]["eta0"] = "x"
+
+
+def _break_phase(doc):
+    doc["edges"][0]["phase"] = None
+
+
+def _break_edges(doc):
+    doc["edges"] = "abc"
+
+
+def _break_coefficient(doc):
+    doc["edges"][0]["hat"]["coeffs"][0][1] = float("nan")
+
+
+class TestMalformedScenario:
+    @pytest.mark.parametrize("command", ["run", "rotnum"])
+    @pytest.mark.parametrize("breaker", [_break_eta0, _break_phase, _break_edges,
+                                         _break_coefficient])
+    def test_exits_2_with_report(self, flagship_scenario, tmp_path, capsys,
+                                 command, breaker):
+        doc = json.loads(flagship_scenario.read_text())
+        breaker(doc)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert read_stdout_json(capsys)["outcome"] == "validation_error"
+
 class TestDioph:
     def test_golden_spectrum_closed_form(self, flagship_scenario, capsys):
         assert main(["dioph", str(flagship_scenario), "--modes", "64", "--mu", "2"]) == 0

@@ -1,5 +1,6 @@
 """The array-native numerical core against the per-mode and per-coefficient
-loops it replaced.
+loops it replaced, and the one-FFT spectral expansion against the two-FFT
+form it replaced.
 
 Each reference below is the loop formulation kept verbatim. The array code
 performs the same floating-point operations in the same order on every
@@ -12,12 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circlekam import (
+    CircleDiffeo,
     Edge,
+    InsufficientSamplesError,
     LaurentSeries,
     Nerve,
     ResonantModeError,
     UnitaryFlatBundle,
     amplification_spectrum,
+)
+from circlekam.circle import (
+    NOISE_FLOOR_FACTOR,
+    ExpandInfo,
+    _tracked_log,
+    eval_diffeo,
+    expand_detailed,
+    symmetrize,
+    unit_circle,
 )
 from circlekam.cocycle import RANK_RCOND, TWO_PI, _resonant_cycle
 from circlekam.series import DecayReport, coeffs_from_circle, decay_check, eval_series
@@ -76,6 +88,30 @@ def coeffs_from_circle_loop(vals, n_trunc, width):
     for n in range(-n_trunc, n_trunc + 1):
         arr[n + n_trunc] = spectrum[n % m]
     return LaurentSeries(arr, width)
+
+
+def expand_detailed_two_ffts(fvals, n_trunc, width):
+    """Spectral expansion taking one FFT for the band |n| <= N (through
+    ``coeffs_from_circle``) and a second one for the tail band."""
+    vals = np.asarray(fvals, dtype=complex)
+    m = vals.size
+    logg, _ = _tracked_log(vals / unit_circle(m))
+    raw = coeffs_from_circle(logg, n_trunc, width)
+    phase = float(np.imag(raw.coeff(0))) % TWO_PI
+    hat_arr = raw.coeffs.copy()
+    hat_arr[raw.truncation] = 0.0
+    hat, defect = symmetrize(LaurentSeries(hat_arr, width))
+    defect = max(defect, 2.0 * abs(float(np.real(raw.coeff(0)))))
+    floor = NOISE_FLOOR_FACTOR * max(1.0, float(np.max(np.abs(logg))))
+    arr = hat.coeffs.copy()
+    arr[np.abs(arr) <= floor] = 0.0
+    spectrum = np.fft.fft(logg) / m
+    wave = ((np.arange(m) + m // 2) % m) - m // 2
+    tail_coeffs = np.abs(spectrum[np.abs(wave) > n_trunc])
+    tail = float(np.sum(tail_coeffs[tail_coeffs > floor]))
+    return (CircleDiffeo(phase, LaurentSeries(arr, width)),
+            ExpandInfo(symmetry_defect=float(defect), tail_mass=tail,
+                       noise_floor=float(floor)))
 
 
 def mode_matrix_loop(bundle, n):
@@ -200,6 +236,28 @@ def test_coeffs_from_circle_equals_loop(n_t, extra, seed):
     got = coeffs_from_circle(vals, n_t, 0.7)
     want = coeffs_from_circle_loop(vals, n_t, 0.7)
     assert np.array_equal(got.coeffs, want.coeffs) and got.width == want.width
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_series(), st.integers(0, 24), st.integers(0, 40),
+       st.floats(0.0, TWO_PI, exclude_max=True))
+def test_expand_detailed_equals_two_fft_form(s, n_t, extra, phase):
+    # hats narrower and wider than n_t, so the tail band is empty or not
+    arr = 1e-3 * s.coeffs
+    arr[s.truncation] = 0.0
+    hat, _ = symmetrize(LaurentSeries(arr, 1.0))
+    m = max(4 * n_t, 8) + extra
+    vals = eval_diffeo(CircleDiffeo(phase, hat), unit_circle(m))
+    got_map, got_info = expand_detailed(vals, n_t, 0.9)
+    want_map, want_info = expand_detailed_two_ffts(vals, n_t, 0.9)
+    assert got_map.phase == want_map.phase
+    assert np.array_equal(got_map.hat.coeffs, want_map.hat.coeffs)
+    assert got_info == want_info
+
+
+def test_expand_detailed_keeps_sample_count_check():
+    with pytest.raises(InsufficientSamplesError):
+        expand_detailed(unit_circle(15), 4, 1.0)
 
 
 @settings(max_examples=40, deadline=None)
