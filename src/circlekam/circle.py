@@ -12,6 +12,7 @@ number of ``f(w)/w`` being the only obstruction to that branch existing.
 from __future__ import annotations
 
 import cmath
+import functools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CircleKamError,
     InversionDivergedError,
     NestingError,
     NotACircleMapError,
@@ -120,9 +122,15 @@ def rotation(phase: float, width: float, n_trunc: int = 0) -> CircleDiffeo:
     return CircleDiffeo(phase, LaurentSeries.zero(width, n_trunc))
 
 
+@functools.lru_cache(maxsize=32)
 def unit_circle(samples: int) -> np.ndarray:
-    """Equispaced points ``e^{2 pi i k / M}``, k = 0..M-1."""
-    return np.exp(2j * np.pi * np.arange(samples) / samples)
+    """Equispaced points ``e^{2 pi i k / M}``, k = 0..M-1.
+
+    One read-only array per M is computed once and shared by every caller.
+    """
+    points = np.exp(2j * np.pi * np.arange(samples) / samples)
+    points.setflags(write=False)
+    return points
 
 
 def eval_diffeo(f: CircleDiffeo, w):
@@ -213,6 +221,37 @@ def expand(fvals, n_trunc: int, width: float) -> CircleDiffeo:
     """
     diffeo, _ = expand_detailed(fvals, n_trunc, width)
     return diffeo
+
+
+def expand_by_degree(
+    sample, degree: int, n_trunc: int, width: float
+) -> tuple[CircleDiffeo, ExpandInfo]:
+    """Expand the map the callable ``sample`` evaluates on unit-circle points,
+    on a grid sized by the data rather than by ``n_trunc``.
+
+    ``degree`` is the sum of the effective degrees of the factors the
+    callable composes. The expansion starts at truncation
+    ``k = max(1, 2 * degree)`` with ``M = 4k`` samples and doubles k while the
+    measured band ``k < |n| <= 2k`` still holds a coefficient above the noise
+    floor (``ExpandInfo.tail_mass > 0``), the adaptive-truncation rule of
+    spectral methods (Aurentz and Trefethen, "Chopping a Chebyshev series",
+    ACM TOMS 43, 2017). At ``k = n_trunc`` it is exactly
+    ``expand_detailed(sample(unit_circle(max(4 n_trunc, 8))), n_trunc,
+    width)``, and only that attempt may raise: an attempt at a smaller k that
+    raises a :class:`CircleKamError` is retried at 2k. The hat is zero-padded
+    to ``n_trunc``.
+    """
+    k = min(n_trunc, max(1, 2 * degree))
+    while k < n_trunc:
+        try:
+            f, info = expand_detailed(sample(unit_circle(4 * k)), k, width)
+            if info.tail_mass == 0.0:
+                hat = LaurentSeries(f.hat.dense(n_trunc), width)
+                return CircleDiffeo(f.phase, hat), info
+        except CircleKamError:
+            pass  # the attempt at n_trunc decides whether the input fails
+        k = min(2 * k, n_trunc)
+    return expand_detailed(sample(unit_circle(max(4 * n_trunc, 8))), n_trunc, width)
 
 
 def expand_map(f, n_trunc: int, width: float, samples: int | None = None) -> CircleDiffeo:
@@ -307,7 +346,8 @@ def compose(
     sampling happens. Composition populates modes beyond those of either
     factor, so the output truncation defaults to the sum of the factors';
     pass ``n_trunc`` to pin it (the iteration engine pins it to the scenario
-    truncation and budgets the discarded tail instead).
+    truncation and budgets the discarded tail instead). The sampling grid
+    follows the factors' effective degrees (:func:`expand_by_degree`).
     """
     if out_width > f.width:
         raise NestingError(
@@ -323,8 +363,9 @@ def compose(
         )
     if n_trunc is None:
         n_trunc = f.hat.truncation + g.hat.truncation
-    w = unit_circle(max(4 * n_trunc, 8))
-    return expand(eval_diffeo(g, eval_diffeo(f, w)), n_trunc, out_width)
+    composite, _ = expand_by_degree(lambda w: eval_diffeo(g, eval_diffeo(f, w)),
+                                    g.hat.degree + f.hat.degree, n_trunc, out_width)
+    return composite
 
 
 def _solve_log_lift(hat: LaurentSeries, zeta0: np.ndarray) -> np.ndarray:

@@ -323,25 +323,85 @@ def _raise_if_resonant(bundle: UnitaryFlatBundle, n: int) -> None:
         )
 
 
+def _pseudo_inverses(bundle: UnitaryFlatBundle, modes: np.ndarray):
+    """Mode matrices of ``modes`` stacked as (len(modes), edges, charts),
+    their pseudo-inverses and per-mode rank-deficiency flags, from one
+    stacked SVD.
+
+    conj(A) has the singular values of A; its SVD is the one
+    ``numpy.linalg.pinv`` factors, and the pseudo-inverse is formed exactly
+    as pinv forms it, with singular values below ``RANK_RCOND * s_max``
+    dropped.
+    """
+    a = _mode_tensor(bundle, modes)
+    u, s, vt = np.linalg.svd(a.conj(), full_matrices=False)
+    deficient = _rank_deficient(s, len(bundle.nerve.charts))
+    large = s > RANK_RCOND * np.max(s, axis=-1, keepdims=True, initial=0.0)
+    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    return a, pinv, deficient
+
+
+def solve_modes(
+    bundle: UnitaryFlatBundle,
+    modes: Sequence[int],
+    b,
+    solvability_tol: float | None = None,
+) -> list:
+    """Minimum 2-norm least-squares solutions of
+    ``e^{i n phi_e} a_k - a_j = b_e`` for every listed mode at once; row i of
+    ``b`` (shape (len(modes), edges)) holds the data of ``modes[i]``.
+
+    Rank deficiency means the n-twisted parallel transport is globally
+    consistent: on a nerve with cycles that is a resonance (some loop has
+    ``N^{tensor n}`` trivial) and raises; on a forest it is plain gauge
+    freedom and the min-norm representative is returned flagged. With
+    ``solvability_tol`` set, a residual above that absolute value raises the
+    coboundary-condition failure for that mode; callers scale it to the data
+    (the engine uses a fraction of the largest mode norm of the step).
+    Modes are checked in the order given, and the first that is resonant or
+    fails solvability raises.
+    """
+    modes = np.asarray(modes, dtype=int)
+    if np.any(modes == 0):
+        raise ValidationError("mode n must be nonzero")
+    n_edges = len(bundle.nerve.edges)
+    bmat = np.asarray(b, dtype=complex)
+    if bmat.shape != (modes.size, n_edges):
+        raise ValidationError(
+            f"b must have one row per mode and one entry per edge "
+            f"({modes.size}, {n_edges}), got {bmat.shape}"
+        )
+    if modes.size == 0:
+        return []
+    a, pinv, deficient = _pseudo_inverses(bundle, modes)
+    sol = (pinv @ bmat[..., None])[..., 0]
+    residual = np.max(np.abs((a @ sol[..., None])[..., 0] - bmat), axis=-1,
+                      initial=0.0)
+    b_norm = np.max(np.abs(bmat), axis=-1, initial=0.0)
+    amp = np.divide(np.max(np.abs(sol), axis=-1, initial=0.0), b_norm,
+                    where=b_norm > 0, out=np.zeros(modes.size))
+    out = []
+    for i, n in enumerate(modes.tolist()):
+        if deficient[i]:
+            _raise_if_resonant(bundle, n)
+        if solvability_tol is not None and residual[i] > solvability_tol:
+            raise CoboundaryError(mode=n, residual=float(residual[i]),
+                                  norm=float(b_norm[i]))
+        out.append(ModeCochainSolution(
+            n=n, a=sol[i], residual=float(residual[i]),
+            amplification=float(amp[i]), has_kernel=bool(deficient[i])))
+    return out
+
+
 def solve_mode(
     bundle: UnitaryFlatBundle,
     n: int,
     b,
     solvability_tol: float | None = None,
 ) -> ModeCochainSolution:
-    """Least-squares solution of ``e^{i n phi_e} a_k - a_j = b_e`` over the
-    charts, minimum 2-norm representative.
-
-    Rank deficiency means the n-twisted parallel transport is globally
-    consistent: on a nerve with cycles that is a resonance
-    (some loop has ``N^{tensor n}`` trivial) and raises; on a forest it is
-    plain gauge freedom and the min-norm representative is returned flagged.
-    With ``solvability_tol`` set, a residual above that absolute value raises
-    the coboundary-condition failure for this mode; callers scale it to the
-    data (the engine uses a fraction of the largest mode norm of the step).
-    """
-    if n == 0:
-        raise ValidationError("mode n must be nonzero")
+    """The one-mode case of :func:`solve_modes`; ``b`` is one entry per edge,
+    as a sequence or as a mapping from edges."""
     nerve = bundle.nerve
     if isinstance(b, Mapping):
         bvec = np.array([complex(b[e]) for e in nerve.edges])
@@ -351,50 +411,32 @@ def solve_mode(
             raise ValidationError(
                 f"b must have one entry per edge ({len(nerve.edges)}), got {bvec.shape}"
             )
-
-    a_mat = mode_matrix(bundle, n)
-    svals = np.linalg.svd(a_mat, compute_uv=False)
-    deficient = bool(_rank_deficient(svals, len(nerve.charts)))
-    if deficient:
-        _raise_if_resonant(bundle, n)
-
-    sol, *_ = np.linalg.lstsq(a_mat, bvec, rcond=RANK_RCOND)
-    residual = float(np.max(np.abs(a_mat @ sol - bvec))) if bvec.size else 0.0
-    b_norm = float(np.max(np.abs(bvec))) if bvec.size else 0.0
-    amp = float(np.max(np.abs(sol)) / b_norm) if b_norm > 0 else 0.0
-    if solvability_tol is not None and residual > solvability_tol:
-        raise CoboundaryError(mode=n, residual=residual, norm=b_norm)
-    return ModeCochainSolution(
-        n=n, a=sol, residual=residual, amplification=amp, has_kernel=deficient
-    )
+    return solve_modes(bundle, [n], bvec[None, :], solvability_tol)[0]
 
 
 def amplification_spectrum(bundle: UnitaryFlatBundle, n_max: int) -> dict:
     """Per-mode operator norm (inf to inf) of the min-norm solution map,
-    for all modes 0 < |n| <= n_max; raises on the first resonant mode.
+    for all modes 0 < |n| <= n_max, keyed 1, -1, 2, -2, ...; raises on the
+    first resonant mode.
 
-    All 2 n_max mode matrices are built as one stacked array, and one
-    batched SVD gives both the rank test and the pseudo-inverses.
+    The mode matrices of n = 1..n_max are built as one stacked array, and one
+    batched SVD gives both the rank test and the pseudo-inverses. Mode -n is
+    not factored: its matrix is the complex conjugate of that of n, whose
+    pseudo-inverse is the conjugate one, so the two norms are equal.
     """
     if n_max < 1:
         raise ValidationError("n_max must be positive")
+    positive = np.arange(1, n_max + 1)
     # ascending |n| so the fundamental resonance is the one reported
-    modes = np.arange(1, n_max + 1).repeat(2) * np.tile([1, -1], n_max)
+    modes = positive.repeat(2) * np.tile([1, -1], n_max)
     if not bundle.nerve.edges:
         return {int(n): 0.0 for n in modes}   # no cycles, no resonance
-    # conj(A) has the singular values of A; its SVD is the one
-    # numpy.linalg.pinv factors, and the pseudo-inverse below is formed
-    # exactly as pinv forms it
-    u, s, vt = np.linalg.svd(_mode_tensor(bundle, modes).conj(),
-                             full_matrices=False)
-    deficient = np.flatnonzero(_rank_deficient(s, len(bundle.nerve.charts)))
-    if deficient.size:
+    _, pinv, deficient = _pseudo_inverses(bundle, positive)
+    first = np.flatnonzero(deficient)
+    if first.size:
         # whether a rank drop is resonant depends on the nerve, not on n
-        _raise_if_resonant(bundle, int(modes[deficient[0]]))
-    large = s > RANK_RCOND * np.max(s, axis=-1, keepdims=True)
-    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
-    norms = np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
+        _raise_if_resonant(bundle, int(positive[first[0]]))
+    norms = np.max(np.sum(np.abs(pinv), axis=-1), axis=-1).repeat(2)
     return dict(zip(modes.tolist(), norms.tolist()))
 
 

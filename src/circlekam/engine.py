@@ -42,7 +42,7 @@ from .circle import (
     apply_inverse,
     compose,
     eval_diffeo,
-    expand_detailed,
+    expand_by_degree,
     identity_map,
     rotation_number,
     symmetrize,
@@ -53,11 +53,12 @@ from .cocycle import (
     UnitaryFlatBundle,
     amplification_spectrum,
     fit_diophantine,
-    solve_mode,
+    solve_modes,
 )
 from .errors import (
     ConvergenceViolationError,
     ScheduleViolationError,
+    SchemaError,
     TruncationError,
     ValidationError,
 )
@@ -107,7 +108,7 @@ class KamParams:
             raise ValidationError(f"sigma0 must be positive, got {self.sigma0}")
         if not (self.mu > 1):
             raise ValidationError(f"mu must exceed 1, got {self.mu}")
-        bound = self.eta0_bound()
+        bound = self.eta0_bound(self.sigma0, self.mu)
         if not (0 < self.eta0 < bound):
             raise ValidationError(
                 f"eta0 must lie in (0, {bound:.6g}), got {self.eta0}"
@@ -122,8 +123,16 @@ class KamParams:
         """Geometric factor of the eta sequence, mu^(-1/(mu+1))."""
         return self.mu ** (-1.0 / (self.mu + 1.0))
 
-    def eta0_bound(self) -> float:
-        return min(math.pi, (1.0 - self.ratio) * self.sigma0 / 4.0)
+    @staticmethod
+    def eta0_bound(sigma0: float, mu: float) -> float:
+        """Upper end of the admissible ``eta0`` range for ``sigma0`` and
+        ``mu``: ``min(pi, (1 - mu^(-1/(mu+1))) sigma0 / 4)``."""
+        return min(math.pi, (1.0 - mu ** (-1.0 / (mu + 1.0))) * sigma0 / 4.0)
+
+    @classmethod
+    def default_eta0(cls, sigma0: float, mu: float = 2.0) -> float:
+        """The ``eta0`` used when none is given: half the admissible bound."""
+        return cls.eta0_bound(sigma0, mu) / 2.0
 
     @property
     def c1(self) -> float:
@@ -167,14 +176,13 @@ class KamParams:
     @classmethod
     def from_json_dict(cls, doc: dict, sigma0: float | None = None) -> "KamParams":
         sigma = float(doc.get("sigma0", sigma0))
-        ratio = float(doc.get("mu", 2.0)) ** (-1.0 / (float(doc.get("mu", 2.0)) + 1.0))
-        eta_default = min(math.pi, (1.0 - ratio) * sigma / 4.0) / 2.0
+        mu = float(doc.get("mu", 2.0))
         c0 = doc.get("C0")
         return cls(
             sigma0=sigma,
-            eta0=float(doc.get("eta0", eta_default)),
+            eta0=float(doc["eta0"]) if "eta0" in doc else cls.default_eta0(sigma, mu),
             c0=None if c0 is None else float(c0),
-            mu=float(doc.get("mu", 2.0)),
+            mu=mu,
             n_trunc=int(doc.get("N", 64)),
             tol=float(doc.get("tol", 1e-10)),
             max_iter=int(doc.get("max_iter", 40)),
@@ -354,14 +362,15 @@ def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
     # modes carry round-off whose inconsistency means nothing
     scale = float(np.max(np.abs(hats[:, populated]))) if populated.any() else 0.0
     coeffs = np.zeros((len(nerve.charts), 2 * n_t + 1), dtype=complex)
-    worst = 0.0
-    modes = (np.flatnonzero(populated) - n_t).tolist()
-    for n in sorted(modes, key=lambda k: (abs(k), -k)):
-        sol = solve_mode(bundle, n, hats[:, n + n_t],
-                         solvability_tol=COBOUNDARY_REL_TOL * scale)
-        worst = max(worst, sol.residual)
-        coeffs[:, n + n_t] = sol.a
-    report.worst_mode_residual = worst
+    # walked in (|n|, -n) order: the first failing mode is the one reported
+    modes = sorted((np.flatnonzero(populated) - n_t).tolist(),
+                   key=lambda k: (abs(k), -k))
+    cols = np.array(modes, dtype=int) + n_t
+    sols = solve_modes(bundle, modes, hats[:, cols].T,
+                       solvability_tol=COBOUNDARY_REL_TOL * scale)
+    for col, sol in zip(cols, sols):
+        coeffs[:, col] = sol.a
+    report.worst_mode_residual = max((sol.residual for sol in sols), default=0.0)
     report.modes_solved = len(modes)
 
     psis = {}
@@ -483,17 +492,18 @@ def kam_step(
                   "radial displacement of charts and transitions")
     enforce("annulus_nesting")
 
-    # renewal: psi_k^{-1} o f o psi_j on the shrunk annulus
-    w = unit_circle(max(4 * params.n_trunc, 8))
+    # renewal: psi_k^{-1} o f o psi_j on the shrunk annulus, sampled on a
+    # grid sized by the three factors' degrees
     new_transitions = []
     drift = 0.0
     tail_worst = 0.0
     proj_worst = report.symmetry_projection
     for e, f in zip(system.nerve.edges, system.transitions):
-        x = eval_diffeo(psis[e.src], w)
-        y = eval_diffeo(f, x)
-        z = apply_inverse(psis[e.dst], y)
-        renewed, info = expand_detailed(z, params.n_trunc, sigma_next)
+        src, dst = psis[e.src], psis[e.dst]
+        renewed, info = expand_by_degree(
+            lambda w: apply_inverse(dst, eval_diffeo(f, eval_diffeo(src, w))),
+            src.hat.degree + f.hat.degree + dst.hat.degree,
+            params.n_trunc, sigma_next)
         new_transitions.append(renewed)
         d = abs(renewed.phase - f.phase) % TWO_PI
         drift = max(drift, min(d, TWO_PI - d))
@@ -561,12 +571,27 @@ class Conjugacy:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Conjugacy":
-        bundle = UnitaryFlatBundle.from_json_dict(doc["linear_cocycle"])
-        charts = {
-            c: CircleDiffeo.from_json_dict(d) for c, d in doc["charts"].items()
-        }
-        return cls(charts=charts, linear_cocycle=bundle,
-                   final_width=float(doc["final_width"]))
+        """Parse a conjugacy document; every type or value failure, including
+        a non-finite width, phase or hat coefficient, raises
+        :class:`SchemaError`."""
+        try:
+            bundle = UnitaryFlatBundle.from_json_dict(doc["linear_cocycle"])
+            charts = {
+                c: CircleDiffeo.from_json_dict(d) for c, d in doc["charts"].items()
+            }
+            final_width = float(doc["final_width"])
+        except KeyError as exc:
+            raise SchemaError(f"conjugacy document missing field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(f"bad conjugacy document: {exc}") from exc
+        finite = (math.isfinite(final_width)
+                  and all(math.isfinite(p) for p in bundle.phases)
+                  and all(math.isfinite(phi.phase) and np.all(np.isfinite(phi.hat.coeffs))
+                          for phi in charts.values()))
+        if not finite:
+            raise SchemaError("conjugacy document has a non-finite width, phase "
+                              "or hat coefficient")
+        return cls(charts=charts, linear_cocycle=bundle, final_width=final_width)
 
 
 @dataclass
@@ -626,9 +651,13 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         try:
             system, psis, report = kam_step(system, m, params)
             sigma_next = sigma_m - 4.0 * eta_m
-            for c in system.nerve.charts:
-                phis[c] = compose(phis[c], psis[c], sigma_next,
-                                  n_trunc=params.n_trunc)
+            for c, psi in psis.items():
+                if m == 0:
+                    # the left factor is still the identity: nothing to compose
+                    phis[c] = CircleDiffeo(psi.phase, psi.hat.with_width(sigma_next))
+                else:
+                    phis[c] = compose(phis[c], psi, sigma_next,
+                                      n_trunc=params.n_trunc)
         except Exception as exc:
             exc.trace = trace
             raise

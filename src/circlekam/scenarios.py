@@ -119,14 +119,9 @@ class Scenario:
         return replace(self, params=replace(self.params, strict_schedule=strict))
 
 
-def _default_eta0(sigma0: float, mu: float) -> float:
-    ratio = mu ** (-1.0 / (mu + 1.0))
-    return min(math.pi, (1.0 - ratio) * sigma0 / 4.0) / 2.0
-
-
 def _params(sigma0, eta0, c0, mu, n_trunc, tol, max_iter, strict_schedule):
     if eta0 is None:
-        eta0 = _default_eta0(sigma0, mu)
+        eta0 = KamParams.default_eta0(sigma0, mu)
     return KamParams(
         sigma0=sigma0, eta0=eta0, c0=c0, mu=mu, n_trunc=n_trunc, tol=tol,
         max_iter=max_iter, strict_schedule=strict_schedule,

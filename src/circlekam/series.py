@@ -15,6 +15,7 @@ analytic on a wider annulus must exhibit (``decay_check``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,6 +79,20 @@ class LaurentSeries:
     @property
     def truncation(self) -> int:
         return (self.coeffs.size - 1) // 2
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Ascending mode indices n with a nonzero coefficient, computed once
+        per series (the coefficients are read-only)."""
+        nonzero = np.flatnonzero(self.coeffs) - self.truncation
+        nonzero.setflags(write=False)
+        return nonzero
+
+    @property
+    def degree(self) -> int:
+        """Effective degree: the largest |n| with a nonzero coefficient
+        (0 for a constant or zero series)."""
+        return int(np.max(np.abs(self.support), initial=0))
 
     def coeff(self, n: int) -> complex:
         """Coefficient of ``w^n`` (zero beyond the truncation)."""
@@ -162,8 +177,9 @@ class LaurentSeries:
 def eval_series(s: LaurentSeries, w: complex | np.ndarray) -> complex | np.ndarray:
     """Evaluate ``sum c_n w^n`` by two Horner passes (n >= 0 in w, n < 0 in 1/w).
 
-    Each pass starts at the highest nonzero coefficient on its side, so the
-    cost follows the effective degree of the series, not its truncation N.
+    Each pass starts at the highest nonzero coefficient on its side, read off
+    the cached support, so the cost follows the effective degree of the
+    series, not its truncation N.
     Leading zeros would keep the Horner accumulator at exactly 0, hence the
     result equals the pass over all 2N+1 coefficients.
     """
@@ -175,12 +191,14 @@ def eval_series(s: LaurentSeries, w: complex | np.ndarray) -> complex | np.ndarr
             f"evaluation point outside the open annulus ({lo:.6g}, {hi:.6g})"
         )
     n_t = s.truncation
-    pos = s.coeffs[n_t:]               # c_0, c_1, ..., c_N
-    neg = s.coeffs[:n_t][::-1]         # c_{-1}, c_{-2}, ..., c_{-N}
+    sup = s.support
+    hi = int(sup[-1]) if sup.size and sup[-1] >= 0 else -1
+    lo = int(-sup[0]) if sup.size and sup[0] < 0 else 0
+    pos = s.coeffs[n_t : n_t + hi + 1]     # c_0, c_1, ..., c_hi
+    neg = s.coeffs[n_t - lo : n_t][::-1]   # c_{-1}, c_{-2}, ..., c_{-lo}
     acc = np.zeros_like(wa)
-    for c in pos[: _effective_length(pos)][::-1]:
+    for c in pos[::-1]:
         acc = acc * wa + c
-    neg = neg[: _effective_length(neg)]
     if neg.size:
         u = 1.0 / wa
         acc_neg = np.zeros_like(wa)
@@ -192,12 +210,6 @@ def eval_series(s: LaurentSeries, w: complex | np.ndarray) -> complex | np.ndarr
     return acc
 
 
-def _effective_length(coeffs: np.ndarray) -> int:
-    """One past the position of the last nonzero entry (0 if all are zero)."""
-    nonzero = np.flatnonzero(coeffs)
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
-
-
 def _weighted_sum(s: LaurentSeries, sigma_prime: float, power: int) -> float:
     """``sum |n|^power |c_n| e^{|n| sigma'}`` over the nonzero coefficients.
 
@@ -205,12 +217,14 @@ def _weighted_sum(s: LaurentSeries, sigma_prime: float, power: int) -> float:
     ``N sigma'`` cannot turn ``0 * e^{|n| sigma'} = 0 * inf`` into NaN; a
     nonzero coefficient whose weight overflows gives an honest inf.
     """
-    n_abs = np.abs(s.indices())
-    nonzero = s.coeffs != 0
+    # the zero-filled full-length array keeps the summation order, hence the
+    # bits, of the sum over all 2N+1 coefficients
+    pos = s.support + s.truncation
+    n_abs = np.abs(s.support)
     terms = np.zeros(s.coeffs.size)
     with np.errstate(over="ignore"):
-        terms[nonzero] = (n_abs[nonzero] ** power * np.abs(s.coeffs[nonzero])
-                          * np.exp(n_abs[nonzero] * sigma_prime))
+        terms[pos] = (n_abs ** power * np.abs(s.coeffs[pos])
+                      * np.exp(n_abs * sigma_prime))
     return float(np.sum(terms))
 
 

@@ -234,6 +234,17 @@ class TestInvert:
         assert np.max(np.abs(eval_diffeo(psi, x) - u)) < 1e-13
 
 
+class TestUnitCircle:
+    def test_cached_read_only_and_equal_to_formula(self):
+        for m in (1, 8, 96, 4096):
+            w = unit_circle(m)
+            assert w is unit_circle(m)
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+            assert np.array_equal(w, np.exp(2j * np.pi * np.arange(m) / m))
+
+
 class TestCirclePreservation:
     def test_unit_circle_invariant(self, rng):
         for _ in range(25):

@@ -175,6 +175,52 @@ class TestMalformedScenario:
         assert main(argv) == 2
         assert read_stdout_json(capsys)["outcome"] == "validation_error"
 
+
+def _null_cocycle_phase(doc):
+    doc["linear_cocycle"]["edges"][0]["phase"] = None
+
+
+def _nan_cocycle_phase(doc):
+    doc["linear_cocycle"]["edges"][0]["phase"] = float("nan")
+
+
+def _inf_chart_phase(doc):
+    next(iter(doc["charts"].values()))["phase"] = float("inf")
+
+
+def _text_chart_phase(doc):
+    next(iter(doc["charts"].values()))["phase"] = "x"
+
+
+def _nan_chart_coefficient(doc):
+    next(iter(doc["charts"].values()))["hat"]["coeffs"][0][1] = float("nan")
+
+
+def _list_charts(doc):
+    doc["charts"] = ["U0"]
+
+
+def _missing_width(doc):
+    del doc["final_width"]
+
+
+class TestMalformedConjugacy:
+    @pytest.mark.parametrize("breaker", [_null_cocycle_phase, _nan_cocycle_phase,
+                                         _inf_chart_phase, _text_chart_phase,
+                                         _nan_chart_coefficient, _list_charts,
+                                         _missing_width])
+    def test_verify_exits_2_with_report(self, flagship_scenario, tmp_path, capsys,
+                                        breaker):
+        out = tmp_path / "out"
+        assert main(["run", str(flagship_scenario), "--out", str(out), "--no-strict"]) == 0
+        capsys.readouterr()
+        doc = json.loads((out / "conjugacy.json").read_text())
+        breaker(doc)
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), str(flagship_scenario)]) == 2
+        assert read_stdout_json(capsys)["outcome"] == "validation_error"
+
 class TestDioph:
     def test_golden_spectrum_closed_form(self, flagship_scenario, capsys):
         assert main(["dioph", str(flagship_scenario), "--modes", "64", "--mu", "2"]) == 0

@@ -54,6 +54,18 @@ class TestParams:
         with pytest.raises(ValidationError):
             _ = p.c1
 
+    @pytest.mark.parametrize("sigma0,mu", [(1.0, 2.0), (0.14126984126984127, 2.0),
+                                           (0.7, 2.5), (40.0, 3.0)])
+    def test_default_eta0_is_half_the_bound(self, sigma0, mu):
+        limit = min(math.pi, (1.0 - mu ** (-1.0 / (mu + 1.0))) * sigma0 / 4.0)
+        assert KamParams.default_eta0(sigma0, mu) == limit / 2.0
+        from_doc = KamParams.from_json_dict({"mu": mu}, sigma0=sigma0)
+        assert from_doc.eta0 == limit / 2.0
+        assert KamParams.eta0_bound(sigma0, mu) == limit
+        hat = LaurentSeries.from_coeffs({1: 1e-6, -1: -1e-6}, sigma0)
+        built = build_single_chart(GOLDEN, hat, sigma0, mu=mu)
+        assert built.params.eta0 == limit / 2.0
+
 
 class TestSchedule:
     def test_level_zero_is_entry_gate(self):
@@ -245,6 +257,17 @@ class TestRun:
         res = run(sc.system, sc.params)
         assert res.converged and res.steps == 2
         assert res.conjugation_residual <= 1e-10
+
+    def test_step_zero_takes_changes_without_nesting_check(self):
+        # at m = 0 the conjugacy is the identity; composing it with the
+        # first changes used to demand that psi map the sigma_1-annulus into
+        # the sigma_0-annulus, which this non-strict run breaks at step 0
+        hat = LaurentSeries.from_coeffs({1: 0.03, -1: -0.03}, 0.2)
+        sc = build_single_chart(GOLDEN, hat, 0.2, n_trunc=32, strict_schedule=False)
+        res = run(sc.system, sc.params)
+        assert (0, "annulus_nesting") in res.trace.violations
+        assert res.converged and res.steps == 3
+        assert res.conjugation_residual <= 1e-11
 
     def test_genus2_large_truncation_certificates_finite(self, rng):
         # N * sigma0 = 1024: majorants of sparse hats must stay finite

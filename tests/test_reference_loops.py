@@ -1,10 +1,14 @@
 """The array-native numerical core against the per-mode and per-coefficient
-loops it replaced, and the one-FFT spectral expansion against the two-FFT
-form it replaced.
+loops it replaced, the one-FFT spectral expansion against the two-FFT form
+it replaced, and the data-sized forms (degree-sized expansion grids, one
+stacked solve per step, the mirrored spectrum) against the fixed-size forms
+they replaced.
 
-Each reference below is the loop formulation kept verbatim. The array code
-performs the same floating-point operations in the same order on every
-nonzero term, so results must match exactly, not within a tolerance.
+Each reference below is the replaced formulation kept verbatim. Where the
+new code performs the same floating-point operations in the same order on
+every nonzero term, results must match exactly, not within a tolerance.
+The degree-sized expansion samples a different grid and the stacked solve
+uses a pseudo-inverse instead of ``lstsq``; those match to round-off.
 """
 
 import numpy as np
@@ -14,12 +18,15 @@ from hypothesis import strategies as st
 
 from circlekam import (
     CircleDiffeo,
+    CoboundaryError,
     Edge,
     InsufficientSamplesError,
     LaurentSeries,
     Nerve,
     ResonantModeError,
     UnitaryFlatBundle,
+    ValidationError,
+    WindingError,
     amplification_spectrum,
 )
 from circlekam.circle import (
@@ -27,11 +34,22 @@ from circlekam.circle import (
     ExpandInfo,
     _tracked_log,
     eval_diffeo,
+    expand_by_degree,
     expand_detailed,
     symmetrize,
     unit_circle,
 )
-from circlekam.cocycle import RANK_RCOND, TWO_PI, _resonant_cycle
+from circlekam.cocycle import (
+    RANK_RCOND,
+    TWO_PI,
+    ModeCochainSolution,
+    _mode_tensor,
+    _raise_if_resonant,
+    _rank_deficient,
+    _resonant_cycle,
+    mode_matrix,
+    solve_modes,
+)
 from circlekam.series import DecayReport, coeffs_from_circle, decay_check, eval_series
 
 # ---------------------------------------------------------------------------
@@ -147,6 +165,49 @@ def amplification_spectrum_loop(bundle, n_max):
             pinv = np.linalg.pinv(a_mat, rcond=RANK_RCOND)
             out[n] = float(np.max(np.sum(np.abs(pinv), axis=1))) if n_edges else 0.0
     return out
+
+
+def expand_fixed_grid(sample, n_trunc, width):
+    """Expansion on the fixed grid of M = max(4N, 8) samples, whatever the
+    degree of the data."""
+    return expand_detailed(sample(unit_circle(max(4 * n_trunc, 8))), n_trunc, width)
+
+
+def solve_mode_lstsq(bundle, n, b, solvability_tol=None):
+    """One mode by its own SVD rank test and ``lstsq``."""
+    nerve = bundle.nerve
+    bvec = np.asarray(b, dtype=complex)
+    a_mat = mode_matrix(bundle, n)
+    svals = np.linalg.svd(a_mat, compute_uv=False)
+    deficient = bool(_rank_deficient(svals, len(nerve.charts)))
+    if deficient:
+        _raise_if_resonant(bundle, n)
+    sol, *_ = np.linalg.lstsq(a_mat, bvec, rcond=RANK_RCOND)
+    residual = float(np.max(np.abs(a_mat @ sol - bvec))) if bvec.size else 0.0
+    b_norm = float(np.max(np.abs(bvec))) if bvec.size else 0.0
+    amp = float(np.max(np.abs(sol)) / b_norm) if b_norm > 0 else 0.0
+    if solvability_tol is not None and residual > solvability_tol:
+        raise CoboundaryError(mode=n, residual=residual, norm=b_norm)
+    return ModeCochainSolution(
+        n=n, a=sol, residual=residual, amplification=amp, has_kernel=deficient
+    )
+
+
+def amplification_spectrum_full(bundle, n_max):
+    """One stacked SVD over all 2 n_max modes 1, -1, 2, -2, ..."""
+    modes = np.arange(1, n_max + 1).repeat(2) * np.tile([1, -1], n_max)
+    if not bundle.nerve.edges:
+        return {int(n): 0.0 for n in modes}
+    u, s, vt = np.linalg.svd(_mode_tensor(bundle, modes).conj(),
+                             full_matrices=False)
+    deficient = np.flatnonzero(_rank_deficient(s, len(bundle.nerve.charts)))
+    if deficient.size:
+        _raise_if_resonant(bundle, int(modes[deficient[0]]))
+    large = s > RANK_RCOND * np.max(s, axis=-1, keepdims=True)
+    s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    norms = np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
+    return dict(zip(modes.tolist(), norms.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +361,178 @@ def test_resonance_reported_as_by_loop(p1, q1, p2, q2):
         amplification_spectrum(bundle, 32)
     assert (got.value.mode, got.value.loop, got.value.holonomy) == (
         ref.value.mode, ref.value.loop, ref.value.holonomy)
+
+
+# ---------------------------------------------------------------------------
+# data-sized forms against the fixed-size forms
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def symmetric_hats(draw):
+    """Reality-symmetric hats of size up to 1e-2: random sparse ones, the
+    gapped hat on modes +-1 and +-40, and a dense one up to its truncation."""
+    kind = draw(st.sampled_from(["sparse", "gapped", "dense"]))
+    scale = draw(st.sampled_from([1e-6, 1e-4, 1e-2]))
+    if kind == "sparse":
+        s = draw(sparse_series())
+        arr = s.coeffs / max(1.0, float(np.max(np.abs(s.coeffs))))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n_t = 40 if kind == "gapped" else draw(st.integers(1, 40))
+        n = np.arange(-n_t, n_t + 1)
+        arr = (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size))
+        arr *= np.exp(-np.abs(n))
+        if kind == "gapped":
+            arr[np.abs(n) != 1] = 0.0
+            arr[[0, -1]] = 0.2
+    arr = scale * np.asarray(arr)
+    arr[arr.size // 2] = 0.0
+    hat, _ = symmetrize(LaurentSeries(arr, 1.5))
+    return hat
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_hats(), symmetric_hats(), st.sampled_from([64, 128, 256]),
+       st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, TWO_PI, exclude_max=True))
+def test_degree_sized_expansion_matches_fixed_grid(hat_f, hat_g, n_t, ph_f, ph_g):
+    f, g = CircleDiffeo(ph_f, hat_f), CircleDiffeo(ph_g, hat_g)
+
+    def sample(w):
+        return eval_diffeo(g, eval_diffeo(f, w))
+
+    got, got_info = expand_by_degree(sample, f.hat.degree + g.hat.degree, n_t, 1.0)
+    want, want_info = expand_fixed_grid(sample, n_t, 1.0)
+    assert got.hat.truncation == n_t
+    # both grids resolve the band, so they differ by round-off and by
+    # coefficients that one side zeroes at its noise floor
+    tol = 4.0 * max(got_info.noise_floor, want_info.noise_floor)
+    assert abs(got.phase - want.phase) <= tol
+    assert np.max(np.abs(got.hat.coeffs - want.hat.coeffs)) <= tol
+    assert got_info.tail_mass <= want_info.tail_mass + tol
+
+
+def test_degree_sized_expansion_raises_as_fixed_grid():
+    # a map of winding 1 in f(w)/w has no log branch on any grid
+    def sample(w):
+        return w * w
+
+    with pytest.raises(WindingError):
+        expand_fixed_grid(sample, 64, 1.0)
+    with pytest.raises(WindingError):
+        expand_by_degree(sample, 1, 64, 1.0)
+
+
+def test_degree_sized_expansion_takes_fixed_grid_when_dense():
+    hat, _ = symmetrize(LaurentSeries(1e-3 * np.exp(-0.1 * np.abs(np.arange(-32, 33))),
+                                      2.0))
+    f = CircleDiffeo(0.4, hat)
+    got, got_info = expand_by_degree(lambda w: eval_diffeo(f, w), 32, 32, 1.0)
+    want, want_info = expand_fixed_grid(lambda w: eval_diffeo(f, w), 32, 1.0)
+    assert got.phase == want.phase and got_info == want_info
+    assert np.array_equal(got.hat.coeffs, want.hat.coeffs)
+
+
+def _solve_by_loop(bundle, modes, b, tol):
+    return [solve_mode_lstsq(bundle, n, row, tol) for n, row in zip(modes, b)]
+
+
+@st.composite
+def step_systems(draw):
+    """A genus-2 or forest bundle, populated modes in (|n|, -n) order, mode
+    data of mixed scales, and a solvability tolerance (or none)."""
+    rational = st.sampled_from([TWO_PI * p / q for p, q in
+                                [(1, 3), (2, 7), (3, 8), (1, 4), (2, 5)]])
+    angle = st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), rational)
+    if draw(st.booleans()):
+        bundle = genus2_bundle(draw(angle), draw(angle))
+    else:
+        bundle = forest_bundle(draw(st.lists(angle, min_size=1, max_size=4)))
+    ks = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True))
+    modes = sorted({s * k for k in ks for s in (1, -1)} if draw(st.booleans())
+                   else set(ks), key=lambda k: (abs(k), -k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = len(bundle.nerve.edges)
+    b = (rng.standard_normal((len(modes), edges))
+         + 1j * rng.standard_normal((len(modes), edges)))
+    b *= 10.0 ** rng.uniform(-9, 0, (len(modes), 1))
+    if draw(st.booleans()):
+        # data that are coboundaries up to a small defect
+        a = rng.standard_normal((len(modes), len(bundle.nerve.charts)))
+        b = (_mode_tensor(bundle, np.array(modes)) @ a[..., None])[..., 0]
+        b += 1e-3 * rng.standard_normal(b.shape)
+    tol = draw(st.sampled_from([None, 1e-6, 0.1, 1.0]))
+    return bundle, modes, b, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(step_systems())
+def test_stacked_step_solve_matches_lstsq(system):
+    bundle, modes, b, tol = system
+    try:
+        want = _solve_by_loop(bundle, modes, b, tol)
+    except (ResonantModeError, CoboundaryError) as ref:
+        with pytest.raises(type(ref)) as got:
+            solve_modes(bundle, modes, b, tol)
+        assert got.value.mode == ref.mode
+        if isinstance(ref, ResonantModeError):
+            assert (got.value.loop, got.value.holonomy) == (ref.loop, ref.holonomy)
+        else:
+            assert got.value.norm == ref.norm
+            assert got.value.residual == pytest.approx(ref.residual, rel=1e-6)
+        return
+    got = solve_modes(bundle, modes, b, tol)
+    assert [s.n for s in got] == [s.n for s in want]
+    for g, w, row in zip(got, want, b):
+        # least-squares solutions agree to about eps * kappa^2 relative to the
+        # data (the perturbation bound of the least-squares problem, Golub and
+        # Van Loan, Matrix Computations, ch. 5), kappa over the kept singular
+        # values
+        svals = np.linalg.svd(mode_matrix(bundle, w.n), compute_uv=False)
+        kept = svals[svals > RANK_RCOND * svals[0]]
+        kappa = kept[0] / kept[-1]
+        bound = 1e-14 * (1.0 + kappa) ** 2 * max(float(np.max(np.abs(row))),
+                                                 float(np.max(np.abs(w.a))))
+        assert g.has_kernel == w.has_kernel
+        assert np.max(np.abs(g.a - w.a)) <= bound
+        assert abs(g.residual - w.residual) <= 2.0 * np.sqrt(row.size) * bound
+        assert abs(g.amplification - w.amplification) <= (
+            bound / max(float(np.max(np.abs(row))), 1e-300))
+
+
+def test_stacked_step_solve_validates_shapes():
+    bundle = genus2_bundle(1.0, 2.0)
+    with pytest.raises(ValidationError):
+        solve_modes(bundle, [1, 0], np.zeros((2, 4)))
+    with pytest.raises(ValidationError):
+        solve_modes(bundle, [1, 2], np.zeros((2, 3)))
+    assert solve_modes(bundle, [], np.zeros((0, 4))) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, TWO_PI, exclude_max=True),
+       st.floats(0.0, TWO_PI, exclude_max=True), st.integers(1, 2048))
+def test_mirrored_spectrum_equals_full_on_genus2(phi1, phi2, n_max):
+    bundle = genus2_bundle(phi1, phi2)
+    try:
+        want = amplification_spectrum_full(bundle, n_max)
+    except ResonantModeError as ref:
+        with pytest.raises(ResonantModeError) as got:
+            amplification_spectrum(bundle, n_max)
+        assert (got.value.mode, got.value.loop, got.value.holonomy) == (
+            ref.mode, ref.loop, ref.holonomy)
+        return
+    got = amplification_spectrum(bundle, n_max)
+    assert list(got) == list(want)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=5),
+       st.integers(1, 512))
+def test_mirrored_spectrum_equals_full_on_forests(phases, n_max):
+    bundle = forest_bundle(phases)
+    got = amplification_spectrum(bundle, n_max)
+    want = amplification_spectrum_full(bundle, n_max)
+    assert list(got) == list(want)
+    assert got == want

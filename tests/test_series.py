@@ -235,6 +235,20 @@ class TestSerialization:
             s.coeffs[0] = 5.0
 
 
+class TestSupport:
+    def test_support_and_degree(self):
+        s = LaurentSeries.from_coeffs({-3: 1.0, 2: 0.5, 5: 0.0}, 1.0, n_trunc=8)
+        assert s.support.tolist() == [-3, 2]
+        assert s.degree == 3
+        assert s.support is s.support
+        assert not s.support.flags.writeable
+        assert LaurentSeries.zero(1.0, 4).degree == 0
+        assert LaurentSeries.zero(1.0, 4).support.size == 0
+        one_sided = LaurentSeries.from_coeffs({1: 1.0, 7: 2.0}, 1.0, n_trunc=9)
+        assert one_sided.degree == 7
+        assert eval_series(one_sided, 0.5) == pytest.approx(0.5 + 2.0 * 0.5**7)
+
+
 class TestRetruncate:
     def test_discarded_mass(self):
         s = LaurentSeries.from_coeffs({1: 1.0, -1: -1.0, 5: 0.25, -5: -0.25}, 1.0)
