@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AnnulusDomainError,
     CircleKamError,
+    InsufficientSamplesError,
     InversionDivergedError,
     NestingError,
     NotACircleMapError,
@@ -30,11 +32,12 @@ from .errors import (
 )
 from .series import (
     LaurentSeries,
+    SeriesRows,
     band_coeffs,
     circle_spectrum,
-    eval_series,
     log_derivative_majorant,
     majorant_norm,
+    majorants,
 )
 
 logger = logging.getLogger(__name__)
@@ -133,10 +136,118 @@ def unit_circle(samples: int) -> np.ndarray:
     return points
 
 
+# -- rows of maps --------------------------------------------------------------
+#
+# The row functions below evaluate, invert and expand several maps at once,
+# one row of a stacked array per map. A failing row does not stop the others:
+# its first error is recorded in an ``errors`` dict keyed by row, and callers
+# raise the error of the lowest failing row, which is the error a loop over
+# the rows in order would have raised. The one-map functions (eval_diffeo,
+# apply_inverse, expand_detailed, expand_by_degree) are their one-row cases.
+
+
+def _fail(errors: dict, bad: np.ndarray, make, rows: np.ndarray | None = None) -> None:
+    """Record ``make(r)`` as the error of every flagged row r without one;
+    with ``rows``, flag i stands for row ``rows[i]``."""
+    hit = bad.nonzero()[0]
+    for r in (hit if rows is None else rows[hit]).tolist():
+        errors.setdefault(r, make(r))
+
+
+def _raise_first(errors: dict, labels=None) -> None:
+    """Raise the error of the lowest failing row, its message prefixed with
+    the row's label when labels are given."""
+    if errors:
+        r = min(errors)
+        exc = errors[r]
+        if labels is not None:
+            exc.args = (f"{labels[r]}: {exc}",)
+        raise exc
+
+
+def _rows_of(maps) -> tuple[np.ndarray, SeriesRows]:
+    return np.array([f.phase for f in maps]), SeriesRows.of([f.hat for f in maps])
+
+
+def _eval_rows(phases: np.ndarray, hats: SeriesRows, w: np.ndarray, errors: dict):
+    """Row r: ``w[r] exp(i phase_r + hat_r(w[r]))`` (or at the shared points
+    ``w``); a row with a point outside its annulus fails."""
+    _fail(errors, hats.outside(w), lambda r: AnnulusDomainError(
+        f"evaluation point outside the open annulus ({hats.inner[r]:.6g}, "
+        f"{hats.outer[r]:.6g})"))
+    return w * np.exp(1j * phases[:, None] + hats(w))
+
+
+def _solve_log_lift(hats: SeriesRows, zeta0: np.ndarray, errors: dict) -> np.ndarray:
+    """Solve ``zeta + hat_r(e^zeta) = zeta0[r]`` per sample and row.
+
+    Fixed-point iteration ``zeta <- zeta0 - hat(e^zeta)`` (a contraction when
+    the derivative majorant is below one), with a Newton fallback after 50
+    sweeps and a hard cap of 200. Each row stops at its own convergence, so
+    it takes exactly the sweeps it would take alone. A row whose iterate
+    leaves its annulus fails and stops; the overflow its last sweep may meet
+    is not warned about, the error reports it.
+    """
+    zeta = zeta0.copy()
+    count = zeta.shape[0]
+    active = np.array([r not in errors for r in range(count)])
+    delta = np.zeros(count)
+    rows = active.nonzero()[0]
+    with np.errstate(all="ignore"):
+        for it in range(200):
+            if rows.size == 0:
+                break
+            every = rows.size == count
+            h = hats if every else hats.take(rows)
+            z, z0 = (zeta, zeta0) if every else (zeta[rows], zeta0[rows])
+            ez = np.exp(z)
+            outside = h.outside(ez)
+            if outside.any():
+                _fail(errors, outside, lambda r: AnnulusDomainError(
+                    f"evaluation point outside the open annulus "
+                    f"({hats.inner[r]:.6g}, {hats.outer[r]:.6g})"), rows)
+            if it < 50:
+                znew = z0 - h(ez)
+            else:
+                center = (h.coeffs.shape[-1] - 1) // 2
+                dh = SeriesRows(h.coeffs * np.arange(-center, center + 1), h.widths)
+                znew = z - (z + h(ez) - z0) / (1.0 + dh(ez))
+            step = np.abs(znew - z).max(axis=-1)
+            if every:
+                zeta = znew
+            else:
+                zeta[rows] = znew
+            delta[rows] = step
+            stop = outside | (step < 1e-15 * (1.0 + np.abs(znew).max(axis=-1)))
+            if stop.any():
+                active[rows[stop]] = False
+                rows = active.nonzero()[0]
+    _fail(errors, active, lambda r: InversionDivergedError(
+        f"log-lift fixed point did not converge (last delta {delta[r]:.3e})"))
+    return zeta
+
+
+def _inverse_rows(phases: np.ndarray, hats: SeriesRows, u: np.ndarray, errors: dict):
+    """Row r: ``psi_r^{-1}(u[r])`` pointwise, by the log-lift solve."""
+    zeta0 = np.log(np.abs(u)) + 1j * np.angle(u) - 1j * phases[:, None]
+    return np.exp(_solve_log_lift(hats, zeta0, errors))
+
+
+def eval_diffeos(maps, w: np.ndarray) -> np.ndarray:
+    """Row r: ``maps[r]`` at the points ``w[r]`` (``w`` of shape (R, M)), or
+    every map at the shared points ``w`` of shape (M,); raises the error of
+    the first map with a point outside its annulus."""
+    errors: dict = {}
+    out = _eval_rows(*_rows_of(maps), w, errors)
+    _raise_first(errors)
+    return out
+
+
 def eval_diffeo(f: CircleDiffeo, w):
-    """Evaluate ``w exp(i phase + hat(w))`` inside the annulus of validity."""
+    """Evaluate ``w exp(i phase + hat(w))`` inside the annulus of validity:
+    the one-row case of :func:`eval_diffeos`."""
     wa = np.asarray(w, dtype=complex)
-    return wa * np.exp(1j * f.phase + eval_series(f.hat, wa))
+    return eval_diffeos([f], wa.reshape(1, -1)).reshape(wa.shape)[()]
 
 
 def circle_defect(f: CircleDiffeo, samples: int = 1024) -> float:
@@ -145,16 +256,17 @@ def circle_defect(f: CircleDiffeo, samples: int = 1024) -> float:
     return float(np.max(np.abs(np.abs(vals) - 1.0)))
 
 
-def _tracked_log(gvals: np.ndarray) -> tuple[np.ndarray, float]:
-    """Continuous branch of log along sampled values; returns (log, winding).
+def _tracked_log(gvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous branch of log along sampled values (per row, along the last
+    axis); returns (log, winding).
 
     The winding number is the total increment of arg(g) around the closed
     loop divided by 2 pi.
     """
-    arg = np.unwrap(np.angle(gvals))
-    closing = np.angle(gvals[0] * np.exp(-1j * arg[-1]))
-    winding = (arg[-1] + closing - arg[0]) / TWO_PI
-    return np.log(np.abs(gvals)) + 1j * arg, float(winding)
+    arg = np.unwrap(np.angle(gvals), axis=-1)
+    closing = np.angle(gvals[..., 0] * np.exp(-1j * arg[..., -1]))
+    winding = (arg[..., -1] + closing - arg[..., 0]) / TWO_PI
+    return np.log(np.abs(gvals)) + 1j * arg, winding
 
 
 @dataclass(frozen=True)
@@ -166,48 +278,49 @@ class ExpandInfo:
     noise_floor: float       # coefficients at or below this were zeroed
 
 
+def _expand_rows(vals: np.ndarray, n_trunc: int, errors: dict):
+    """Row-wise spectral expansion of stacked samples (R, M): per row the
+    phase, the hat coefficients (R, 2N+1) and an :class:`ExpandInfo`."""
+    m = vals.shape[-1]
+    if m < 4 * n_trunc or m < 1:
+        raise InsufficientSamplesError(f"need at least 4N={4 * n_trunc} samples, got {m}")
+    g = vals / unit_circle(m)
+    _fail(errors, ~np.all(np.isfinite(g) & (g != 0), axis=-1),
+          lambda r: ValidationError("samples contain zeros or non-finite values"))
+    logg, winding = _tracked_log(g)
+    _fail(errors, abs(winding) > 0.25, lambda r: WindingError(
+        f"winding number of f(w)/w is {winding[r]:.3f}, expected 0; "
+        "no global log branch exists"))
+    spectrum = circle_spectrum(logg, n_trunc)
+    hats = band_coeffs(spectrum, n_trunc)
+    c0 = hats[:, n_trunc].copy()
+    hats[:, n_trunc] = 0.0
+    defect = np.maximum(np.abs(hats + np.conj(hats[:, ::-1])).max(axis=-1),
+                        2.0 * np.abs(c0.real))
+    _fail(errors, defect > SYMMETRY_TOL, lambda r: NotACircleMapError(
+        f"symmetry defect {defect[r]:.3e} before projection exceeds "
+        f"{SYMMETRY_TOL:.0e}: samples are not a circle diffeomorphism"))
+    hats = 0.5 * (hats - np.conj(hats[:, ::-1]))
+    logger.debug("expand: symmetry projections of size %s applied", defect)
+
+    floor = NOISE_FLOOR_FACTOR * np.maximum(1.0, np.abs(logg).max(axis=-1))
+    hats[np.abs(hats) <= floor[:, None]] = 0.0
+    # the band N < |n| <= M/2 is the entries k = N+1 .. M-N-1 of the DFT
+    tail = np.abs(spectrum[:, n_trunc + 1 : m - n_trunc])
+    infos = [ExpandInfo(symmetry_defect=d, tail_mass=float(np.sum(t[t > f])),
+                        noise_floor=f)
+             for d, t, f in zip(defect.tolist(), tail, floor.tolist())]
+    return [c % TWO_PI for c in c0.imag.tolist()], hats, infos
+
+
 def expand_detailed(fvals, n_trunc: int, width: float) -> tuple[CircleDiffeo, ExpandInfo]:
     """:func:`expand` plus diagnostics (projection size, discarded tail mass)."""
-    vals = np.asarray(fvals, dtype=complex)
-    m = vals.size
-    g = vals / unit_circle(m)
-    if np.any(np.abs(g) == 0.0) or not np.all(np.isfinite(g)):
-        raise ValidationError("samples contain zeros or non-finite values")
-    logg, winding = _tracked_log(g)
-    if abs(winding) > 0.25:
-        raise WindingError(
-            f"winding number of f(w)/w is {winding:.3f}, expected 0; "
-            "no global log branch exists"
-        )
-    spectrum = circle_spectrum(logg, n_trunc)
-    hat_arr = band_coeffs(spectrum, n_trunc)
-    c0 = complex(hat_arr[n_trunc])
-    phase = float(np.imag(c0)) % TWO_PI
-    hat_arr[n_trunc] = 0.0
-    hat = LaurentSeries(hat_arr, width)
-
-    defect = symmetry_defect(hat)
-    defect = max(defect, 2.0 * abs(float(np.real(c0))))
-    if defect > SYMMETRY_TOL:
-        raise NotACircleMapError(
-            f"symmetry defect {defect:.3e} before projection exceeds "
-            f"{SYMMETRY_TOL:.0e}: samples are not a circle diffeomorphism"
-        )
-    hat, _ = symmetrize(hat)
-    logger.debug("expand: symmetry projection of size %.3e applied", defect)
-
-    floor = NOISE_FLOOR_FACTOR * max(1.0, float(np.max(np.abs(logg))))
-    arr = hat.coeffs.copy()
-    arr[np.abs(arr) <= floor] = 0.0
-
-    wave = ((np.arange(m) + m // 2) % m) - m // 2
-    band = np.abs(wave) > n_trunc
-    tail_coeffs = np.abs(spectrum[band])
-    tail = float(np.sum(tail_coeffs[tail_coeffs > floor]))
-
-    diffeo = CircleDiffeo(phase, LaurentSeries(arr, width))
-    return diffeo, ExpandInfo(symmetry_defect=float(defect), tail_mass=tail,
-                              noise_floor=float(floor))
+    errors: dict = {}
+    with np.errstate(all="ignore"):
+        phases, hats, infos = _expand_rows(np.asarray(fvals, dtype=complex)[None],
+                                           n_trunc, errors)
+    _raise_first(errors)
+    return CircleDiffeo(phases[0], LaurentSeries(hats[0], width)), infos[0]
 
 
 def expand(fvals, n_trunc: int, width: float) -> CircleDiffeo:
@@ -223,35 +336,78 @@ def expand(fvals, n_trunc: int, width: float) -> CircleDiffeo:
     return diffeo
 
 
+def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
+                          labels=None) -> tuple[list, list]:
+    """Expand the maps that ``sample`` evaluates row by row on one grid of
+    unit-circle points, sized by the data rather than by ``n_trunc``.
+
+    ``sample(w)`` returns the stacked values (R, M) at the points ``w`` and a
+    dict of per-row errors. ``degrees[r]`` is the sum of the effective
+    degrees of the factors row r composes. The expansion starts at the
+    largest per-row truncation ``k = max(1, 2 * degree)`` with ``M = 4k``
+    samples and doubles k while the measured band ``k < |n| <= 2k`` of some
+    row still holds a coefficient above that row's noise floor
+    (``ExpandInfo.tail_mass > 0``) or some row fails, the adaptive-truncation
+    rule of spectral methods (Aurentz and Trefethen, "Chopping a Chebyshev
+    series", ACM TOMS 43, 2017). At ``k = n_trunc`` the grid is exactly the
+    fixed one of ``max(4 n_trunc, 8)`` points, and only that attempt may
+    raise: the error of the lowest failing row, prefixed with its label.
+    Returns one map (hat zero-padded to ``n_trunc``) and one
+    :class:`ExpandInfo` per row.
+    """
+    k = min(n_trunc, max(1, 2 * max(degrees)))
+    while True:
+        final = k >= n_trunc
+        with np.errstate(all="ignore"):
+            vals, errors = sample(unit_circle(max(4 * n_trunc, 8) if final else 4 * k))
+            phases, hats, infos = _expand_rows(vals, n_trunc if final else k, errors)
+        if final:
+            _raise_first(errors, labels)
+        if final or not errors and all(i.tail_mass == 0.0 for i in infos):
+            break
+        k = min(2 * k, n_trunc)
+    padded = np.zeros((hats.shape[0], 2 * n_trunc + 1), dtype=complex)
+    pad = n_trunc - (hats.shape[1] - 1) // 2
+    padded[:, pad : pad + hats.shape[1]] = hats
+    return [CircleDiffeo(p, LaurentSeries(h, width)) for p, h in zip(phases, padded)], infos
+
+
 def expand_by_degree(
     sample, degree: int, n_trunc: int, width: float
 ) -> tuple[CircleDiffeo, ExpandInfo]:
     """Expand the map the callable ``sample`` evaluates on unit-circle points,
-    on a grid sized by the data rather than by ``n_trunc``.
-
-    ``degree`` is the sum of the effective degrees of the factors the
-    callable composes. The expansion starts at truncation
-    ``k = max(1, 2 * degree)`` with ``M = 4k`` samples and doubles k while the
-    measured band ``k < |n| <= 2k`` still holds a coefficient above the noise
-    floor (``ExpandInfo.tail_mass > 0``), the adaptive-truncation rule of
-    spectral methods (Aurentz and Trefethen, "Chopping a Chebyshev series",
-    ACM TOMS 43, 2017). At ``k = n_trunc`` it is exactly
-    ``expand_detailed(sample(unit_circle(max(4 n_trunc, 8))), n_trunc,
-    width)``, and only that attempt may raise: an attempt at a smaller k that
-    raises a :class:`CircleKamError` is retried at 2k. The hat is zero-padded
-    to ``n_trunc``.
+    on a grid sized by ``degree`` (the sum of the effective degrees of the
+    factors the callable composes) rather than by ``n_trunc``: the one-row
+    case of :func:`expand_rows_by_degree`. An attempt below ``n_trunc`` that
+    raises a :class:`CircleKamError` is retried at twice the truncation; at
+    ``n_trunc`` it is exactly ``expand_detailed(sample(unit_circle(max(4
+    n_trunc, 8))), n_trunc, width)``.
     """
-    k = min(n_trunc, max(1, 2 * degree))
-    while k < n_trunc:
+    def rows(w):
         try:
-            f, info = expand_detailed(sample(unit_circle(4 * k)), k, width)
-            if info.tail_mass == 0.0:
-                hat = LaurentSeries(f.hat.dense(n_trunc), width)
-                return CircleDiffeo(f.phase, hat), info
-        except CircleKamError:
-            pass  # the attempt at n_trunc decides whether the input fails
-        k = min(2 * k, n_trunc)
-    return expand_detailed(sample(unit_circle(max(4 * n_trunc, 8))), n_trunc, width)
+            return np.asarray(sample(w), dtype=complex)[None], {}
+        except CircleKamError as exc:
+            return np.full((1, w.size), np.nan, dtype=complex), {0: exc}
+
+    maps, infos = expand_rows_by_degree(rows, [degree], n_trunc, width)
+    return maps[0], infos[0]
+
+
+def renew_rows(src, maps, dst, n_trunc: int, width: float, labels=None):
+    """``dst[r]^{-1} o maps[r] o src[r]`` for every row r, by one batched
+    evaluate, invert and expand pass per grid of
+    :func:`expand_rows_by_degree`. Returns the renewed maps and their
+    :class:`ExpandInfo`; an error names its row by its label."""
+    src_rows, map_rows, dst_rows = _rows_of(src), _rows_of(maps), _rows_of(dst)
+    degrees = [a.hat.degree + f.hat.degree + b.hat.degree
+               for a, f, b in zip(src, maps, dst)]
+
+    def sample(w):
+        errors: dict = {}
+        z = _eval_rows(*map_rows, _eval_rows(*src_rows, w, errors), errors)
+        return _inverse_rows(*dst_rows, z, errors), errors
+
+    return expand_rows_by_degree(sample, degrees, n_trunc, width, labels)
 
 
 def expand_map(f, n_trunc: int, width: float, samples: int | None = None) -> CircleDiffeo:
@@ -335,62 +491,61 @@ def rotation_number(f: CircleDiffeo, iters: int = ROTATION_ITERS) -> float:
     return float(rho % 1.0)
 
 
+def compose_rows(gs, fs, out_width: float, n_trunc: int, labels=None) -> list:
+    """Compositions ``gs[r] o fs[r]`` re-expanded on an annulus of width
+    ``out_width``, all rows in one pass of :func:`expand_rows_by_degree`.
+
+    Analyticity of a composite on the target annulus needs the image of
+    that annulus under f to sit inside the domain annulus of g; both
+    inclusions are certified with the one-sided weighted norms, and a row
+    failing one fails with :class:`NestingError` (raised, prefixed with its
+    label, if it is the first failing row).
+    """
+    errors: dict = {}
+    for r, f in enumerate(fs):
+        if out_width > f.width:
+            errors[r] = NestingError(
+                f"out_width {out_width:.6g} exceeds domain width {f.width:.6g} of f",
+                inclusion="out_annulus within domain(f)",
+            )
+    inside = [r for r in range(len(fs)) if r not in errors]
+    reach = out_width + majorants([fs[r].hat for r in inside], out_width)
+    for r, x in zip(inside, reach.tolist()):
+        if x > gs[r].width:
+            errors[r] = NestingError(
+                f"f maps the width-{out_width:.6g} annulus into width "
+                f"{x:.6g}, outside domain width {gs[r].width:.6g} of g",
+                inclusion="f(out_annulus) within domain(g)",
+            )
+    if 0 in errors:
+        _raise_first(errors, labels)   # no row can fail before the first
+    g_rows, f_rows = _rows_of(gs), _rows_of(fs)
+
+    def sample(w):
+        errs = dict(errors)
+        return _eval_rows(*g_rows, _eval_rows(*f_rows, w, errs), errs), errs
+
+    maps, _ = expand_rows_by_degree(
+        sample, [g.hat.degree + f.hat.degree for g, f in zip(gs, fs)], n_trunc,
+        out_width, labels)
+    return maps
+
+
 def compose(
     g: CircleDiffeo, f: CircleDiffeo, out_width: float, n_trunc: int | None = None
 ) -> CircleDiffeo:
-    """Composition ``g o f`` re-expanded on an annulus of width ``out_width``.
+    """Composition ``g o f`` re-expanded on an annulus of width ``out_width``:
+    the one-row case of :func:`compose_rows`.
 
-    Analyticity of the composite on the target annulus needs the image of
-    that annulus under f to sit inside the domain annulus of g; both
-    inclusions are certified with the one-sided weighted norms before any
-    sampling happens. Composition populates modes beyond those of either
-    factor, so the output truncation defaults to the sum of the factors';
-    pass ``n_trunc`` to pin it (the iteration engine pins it to the scenario
-    truncation and budgets the discarded tail instead). The sampling grid
-    follows the factors' effective degrees (:func:`expand_by_degree`).
+    Composition populates modes beyond those of either factor, so the output
+    truncation defaults to the sum of the factors'; pass ``n_trunc`` to pin
+    it (the iteration engine pins it to the scenario truncation and budgets
+    the discarded tail instead). The sampling grid follows the factors'
+    effective degrees (:func:`expand_rows_by_degree`).
     """
-    if out_width > f.width:
-        raise NestingError(
-            f"out_width {out_width:.6g} exceeds domain width {f.width:.6g} of f",
-            inclusion="out_annulus within domain(f)",
-        )
-    reach = out_width + majorant_norm(f.hat, out_width)
-    if reach > g.width:
-        raise NestingError(
-            f"f maps the width-{out_width:.6g} annulus into width "
-            f"{reach:.6g}, outside domain width {g.width:.6g} of g",
-            inclusion="f(out_annulus) within domain(g)",
-        )
     if n_trunc is None:
         n_trunc = f.hat.truncation + g.hat.truncation
-    composite, _ = expand_by_degree(lambda w: eval_diffeo(g, eval_diffeo(f, w)),
-                                    g.hat.degree + f.hat.degree, n_trunc, out_width)
-    return composite
-
-
-def _solve_log_lift(hat: LaurentSeries, zeta0: np.ndarray) -> np.ndarray:
-    """Solve ``zeta + hat(e^zeta) = zeta0`` per sample.
-
-    Fixed-point iteration ``zeta <- zeta0 - hat(e^zeta)`` (a contraction when
-    the derivative majorant is below one), with a Newton fallback after 50
-    sweeps and a hard cap of 200.
-    """
-    dhat = LaurentSeries(hat.coeffs * hat.indices(), hat.width)
-    zeta = zeta0.copy()
-    for it in range(200):
-        if it < 50:
-            znew = zeta0 - eval_series(hat, np.exp(zeta))
-        else:
-            ez = np.exp(zeta)
-            residual = zeta + eval_series(hat, ez) - zeta0
-            znew = zeta - residual / (1.0 + eval_series(dhat, ez))
-        delta = float(np.max(np.abs(znew - zeta)))
-        zeta = znew
-        if delta < 1e-15 * (1.0 + float(np.max(np.abs(zeta)))):
-            return zeta
-    raise InversionDivergedError(
-        f"log-lift fixed point did not converge (last delta {delta:.3e})"
-    )
+    return compose_rows([g], [f], out_width, n_trunc)[0]
 
 
 def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> CircleDiffeo:
@@ -423,8 +578,11 @@ def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> C
         n_trunc = max(16, 2 * psi.hat.truncation)
     m = max(4 * n_trunc, 8)
     theta = 2.0 * np.pi * np.arange(m) / m
-    zeta = _solve_log_lift(psi.hat, (1j * theta) - 1j * psi.phase)
-    inv = expand(np.exp(zeta), n_trunc, out_width)
+    errors: dict = {}
+    zeta = _solve_log_lift(SeriesRows.of([psi.hat]), ((1j * theta) - 1j * psi.phase)[None],
+                           errors)
+    _raise_first(errors)
+    inv = expand(np.exp(zeta[0]), n_trunc, out_width)
 
     # certify strictly inside the out annulus so psi's image stays evaluable
     rho = (out_width - majorant_norm(psi.hat, out_width)) * (1.0 - 1e-9)
@@ -440,8 +598,18 @@ def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> C
     return inv
 
 
+def apply_inverses(maps, u: np.ndarray) -> np.ndarray:
+    """Row r: ``maps[r]^{-1}(u[r])`` pointwise without re-expansion (``u`` of
+    shape (R, M), inside the annuli); raises the error of the first map
+    whose solve fails."""
+    errors: dict = {}
+    out = _inverse_rows(*_rows_of(maps), u, errors)
+    _raise_first(errors)
+    return out
+
+
 def apply_inverse(psi: CircleDiffeo, u: np.ndarray) -> np.ndarray:
-    """Pointwise ``psi^{-1}(u)`` without re-expansion (u inside the annulus)."""
+    """Pointwise ``psi^{-1}(u)`` without re-expansion (u inside the annulus):
+    the one-row case of :func:`apply_inverses`."""
     ua = np.asarray(u, dtype=complex)
-    zeta0 = np.log(np.abs(ua)) + 1j * np.angle(ua) - 1j * psi.phase
-    return np.exp(_solve_log_lift(psi.hat, zeta0))
+    return apply_inverses([psi], ua.reshape(1, -1)).reshape(ua.shape)[()]

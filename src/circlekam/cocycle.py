@@ -12,6 +12,7 @@ power law ``C0 |n|^(mu-1)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
     CoboundaryError,
     ValidationError,
 )
+from .series import majorants
 
 TWO_PI = 2.0 * np.pi
 
@@ -223,12 +225,10 @@ class TransitionSystem:
         return self.transitions[self.nerve.edges.index(edge)]
 
     def max_hat_majorant(self, sigma_prime: float) -> float:
-        from .series import majorant_norm
-
-        return max(
-            (majorant_norm(f.hat, sigma_prime) for f in self.transitions),
-            default=0.0,
-        )
+        """Largest transition-hat majorant at ``sigma_prime`` (0 without
+        edges); a NaN majorant gives NaN, so a comparison with it fails."""
+        hats = [f.hat for f in self.transitions]
+        return float(np.max(majorants(hats, sigma_prime), initial=0.0))
 
 
 def holonomy(bundle: UnitaryFlatBundle, loop: Sequence) -> float:
@@ -414,9 +414,9 @@ def solve_mode(
     return solve_modes(bundle, [n], bvec[None, :], solvability_tol)[0]
 
 
-def amplification_spectrum(bundle: UnitaryFlatBundle, n_max: int) -> dict:
-    """Per-mode operator norm (inf to inf) of the min-norm solution map,
-    for all modes 0 < |n| <= n_max, keyed 1, -1, 2, -2, ...; raises on the
+def amplification_norms(bundle: UnitaryFlatBundle, n_max: int) -> np.ndarray:
+    """Per-mode operator norm (inf to inf) of the min-norm solution map for
+    n = 1..n_max as one array; mode -n has the same norm. Raises on the
     first resonant mode.
 
     The mode matrices of n = 1..n_max are built as one stacked array, and one
@@ -426,18 +426,45 @@ def amplification_spectrum(bundle: UnitaryFlatBundle, n_max: int) -> dict:
     """
     if n_max < 1:
         raise ValidationError("n_max must be positive")
-    positive = np.arange(1, n_max + 1)
-    # ascending |n| so the fundamental resonance is the one reported
-    modes = positive.repeat(2) * np.tile([1, -1], n_max)
     if not bundle.nerve.edges:
-        return {int(n): 0.0 for n in modes}   # no cycles, no resonance
+        return np.zeros(n_max)   # no cycles, no resonance
+    positive = np.arange(1, n_max + 1)
     _, pinv, deficient = _pseudo_inverses(bundle, positive)
     first = np.flatnonzero(deficient)
     if first.size:
         # whether a rank drop is resonant depends on the nerve, not on n
         _raise_if_resonant(bundle, int(positive[first[0]]))
-    norms = np.max(np.sum(np.abs(pinv), axis=-1), axis=-1).repeat(2)
-    return dict(zip(modes.tolist(), norms.tolist()))
+    return np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
+
+
+def amplification_spectrum(bundle: UnitaryFlatBundle, n_max: int) -> dict:
+    """:func:`amplification_norms` keyed by mode 1, -1, 2, -2, ..., so the
+    fundamental resonance is the one reported."""
+    norms = amplification_norms(bundle, n_max)
+    modes = np.arange(1, n_max + 1).repeat(2) * np.tile([1, -1], n_max)
+    return dict(zip(modes.tolist(), norms.repeat(2).tolist()))
+
+
+@functools.lru_cache(maxsize=8)
+def _mode_powers(n_max: int, exponent: float) -> np.ndarray:
+    """``n ** exponent`` for n = 1..n_max, read-only. Each entry is Python's
+    float power: numpy's vectorised power differs from it in the last bit
+    for some non-integer exponents."""
+    out = np.array([n ** exponent for n in range(1, n_max + 1)])
+    out.setflags(write=False)
+    return out
+
+
+def diophantine_ratios(modes, amplifications, mu: float) -> np.ndarray:
+    """``A_n / |n|^(mu-1)`` per mode: the smallest C0 of the power law
+    ``A_n <= C0 |n|^(mu-1)`` is their maximum."""
+    if mu <= 1:
+        raise ValidationError(f"mu must exceed 1, got {mu}")
+    n_abs = np.abs(np.asarray(modes, dtype=int))
+    if np.any(n_abs == 0):
+        raise ValidationError("mode n must be nonzero")
+    powers = _mode_powers(int(np.max(n_abs, initial=1)), mu - 1.0)
+    return np.asarray(amplifications, dtype=float) / powers[n_abs - 1]
 
 
 @dataclass(frozen=True)
@@ -463,27 +490,32 @@ class DiophantineFit:
 def fit_diophantine(spectrum: Mapping[int, float], mu: float) -> DiophantineFit:
     """Smallest C0 with ``A_n <= C0 |n|^(mu-1)`` across the spectrum.
 
-    Every mode passes with equality at the argmax by construction; the flag
-    marks spectra whose ratio ``A_n / |n|^(mu-1)`` peaks at the last mode and
-    dwarfs the bulk, the signature of super-polynomial (Liouville-like)
-    growth that no power law of this exponent captures.
+    Every mode passes with equality at the argmax (the largest ratio, the
+    lowest |n| among ties) by construction; the flag marks spectra whose
+    ratio ``A_n / |n|^(mu-1)`` peaks at the last mode and dwarfs the bulk,
+    the signature of super-polynomial (Liouville-like) growth that no power
+    law of this exponent captures. C0 is the maximum of
+    :func:`diophantine_ratios`, as the engine fits it.
     """
-    if mu <= 1:
-        raise ValidationError(f"mu must exceed 1, got {mu}")
     if not spectrum:
         raise ValidationError("empty amplification spectrum")
-    ratios = {n: a / abs(n) ** (mu - 1.0) for n, a in spectrum.items()}
-    argmax = max(ratios, key=lambda n: (ratios[n], -abs(n)))
-    c0 = ratios[argmax]
-    per_mode = {n: spectrum[n] <= c0 * abs(n) ** (mu - 1.0) * (1 + 1e-12)
-                for n in spectrum}
-    last = max(abs(n) for n in spectrum)
-    bulk = float(np.median(list(ratios.values())))
-    superpoly = abs(argmax) == last and bulk > 0 and c0 > 4.0 * bulk
+    modes = np.fromiter(spectrum.keys(), dtype=int, count=len(spectrum))
+    amps = np.fromiter(spectrum.values(), dtype=float, count=len(spectrum))
+    ratios = diophantine_ratios(modes, amps, mu)
+    n_abs = np.abs(modes)
+    best = int(np.argmax(ratios))
+    ties = np.flatnonzero(ratios == ratios[best])
+    if ties.size:
+        best = int(ties[np.argmin(n_abs[ties])])
+    c0 = float(ratios[best])
+    powers = _mode_powers(int(np.max(n_abs)), mu - 1.0)[n_abs - 1]
+    per_mode = amps <= c0 * powers * (1 + 1e-12)
+    bulk = float(np.median(ratios))
+    superpoly = n_abs[best] == np.max(n_abs) and bulk > 0 and c0 > 4.0 * bulk
     return DiophantineFit(
-        c0=float(c0),
+        c0=c0,
         mu=float(mu),
-        argmax_mode=int(argmax),
-        per_mode_pass=per_mode,
+        argmax_mode=int(modes[best]),
+        per_mode_pass=dict(zip(modes.tolist(), per_mode.tolist())),
         superpolynomial=bool(superpoly),
     )

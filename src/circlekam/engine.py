@@ -39,11 +39,10 @@ import numpy as np
 from .circle import (
     ROTATION_ITERS,
     CircleDiffeo,
-    apply_inverse,
-    compose,
-    eval_diffeo,
-    expand_by_degree,
+    compose_rows,
+    eval_diffeos,
     identity_map,
+    renew_rows,
     rotation_number,
     symmetrize,
     unit_circle,
@@ -51,8 +50,8 @@ from .circle import (
 from .cocycle import (
     TransitionSystem,
     UnitaryFlatBundle,
-    amplification_spectrum,
-    fit_diophantine,
+    amplification_norms,
+    diophantine_ratios,
     solve_modes,
 )
 from .errors import (
@@ -64,10 +63,9 @@ from .errors import (
 )
 from .series import (
     LaurentSeries,
-    decay_check,
-    empirical_sup_norm,
-    log_derivative_majorant,
-    majorant_norm,
+    decay_checks,
+    empirical_sup_norms,
+    majorants,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -211,12 +209,25 @@ def schedule(params: KamParams, m: int) -> tuple[float, float, float]:
 
 
 def resolve_c0(system: TransitionSystem, params: KamParams) -> KamParams:
-    """Fit c0 from the measured amplification spectrum when it is unset."""
+    """Fit c0 from the measured amplification spectrum when it is unset: the
+    largest ``A_n / n^(mu-1)`` over the array of mode norms n = 1..N, the
+    C0 that :func:`circlekam.cocycle.fit_diophantine` finds on the spectrum."""
     if params.c0 is not None:
         return params
-    spectrum = amplification_spectrum(system.bundle(), params.n_trunc)
-    fit = fit_diophantine(spectrum, params.mu)
-    return params.with_c0(fit.c0)
+    norms = amplification_norms(system.bundle(), params.n_trunc)
+    ratios = diophantine_ratios(np.arange(1, params.n_trunc + 1), norms, params.mu)
+    return params.with_c0(float(np.max(ratios)))
+
+
+def _check_truncations(system: TransitionSystem, n_trunc: int) -> None:
+    """Every transition hat must vanish beyond the truncation N: the step
+    solves modes |n| <= N only, so a coefficient beyond would be dropped."""
+    for e, f in zip(system.nerve.edges, system.transitions):
+        if f.hat.degree > n_trunc:
+            raise ValidationError(
+                f"edge {e}: hat has a nonzero coefficient at |n| = "
+                f"{f.hat.degree}, beyond the truncation N = {n_trunc}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +257,9 @@ class StepReport:
     max_hat_empirical: float = 0.0   # sampled sup norm, diagnosis only
     modes_solved: int = 0
     violations: list = field(default_factory=list)
+    # wall time in ms of the phases gate (entry gate, sup-norm report and
+    # decay audit), solve, certificates and renewal
+    phase_ms: dict = field(default_factory=dict)
 
     def record(self, name: str, passed: bool, lhs: float, rhs: float, detail: str = ""):
         self.certificates[name] = CertRecord(name, bool(passed), float(lhs), float(rhs), detail)
@@ -272,9 +286,14 @@ CSV_HEADER = "m,sigma,eta,delta,max_hat_norm,worst_mode_residual,tail_mass,wall_
 class IterationTrace:
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)  # (m, certificate) pairs
+    # per row: wall times in ms of the step's phases (StepReport.phase_ms
+    # plus the conjugacy composition), empty for rows without a step;
+    # written to trace.json only, so trace.csv keeps its columns
+    phase_ms: list = field(default_factory=list)
 
-    def append(self, row: TraceRow):
+    def append(self, row: TraceRow, phase_ms: dict | None = None):
         self.rows.append(row)
+        self.phase_ms.append(phase_ms or {})
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -288,7 +307,8 @@ class IterationTrace:
     def to_json_dict(self) -> dict:
         return {
             "conventions": dict(CONVENTIONS),
-            "rows": [dataclasses.asdict(r) for r in self.rows],
+            "rows": [dict(dataclasses.asdict(r), phase_ms=p)
+                     for r, p in zip(self.rows, self.phase_ms)],
             "violations": [
                 {"m": m, "certificate": cert} for m, cert in self.violations
             ],
@@ -327,10 +347,12 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
     ``min(eta0, eta0^(mu+1) / ((1 + e^sigma0) C1 mu))``. Pure report."""
     params = resolve_c0(system, params)
     gate = params.delta0
+    sampled = [f.hat for f in system.transitions if f.hat.truncation]
+    majs = iter(majorants(sampled, params.sigma0).tolist())
     per_edge = []
     passed = True
     for e, f in zip(system.nerve.edges, system.transitions):
-        maj = majorant_norm(f.hat, params.sigma0) if f.hat.truncation else 0.0
+        maj = next(majs) if f.hat.truncation else 0.0
         ok = maj < gate
         passed = passed and ok
         per_edge.append((str(e), float(maj), float(gate - maj), bool(ok)))
@@ -409,6 +431,7 @@ def kam_step(
             f"system width {system.width:.6g} does not match schedule width "
             f"{sigma_m:.6g} at step {m}"
         )
+    _check_truncations(system, params.n_trunc)
     report = StepReport(m=m)
     strict = params.strict_schedule
 
@@ -421,90 +444,97 @@ def kam_step(
                 )
             raise exc_cls(f"{name}: {rec.lhs:.6e} !<= {rec.rhs:.6e} at step {m}")
 
-    # entry gate of the induction; the sampled sup norm rides along in the
-    # report but never drives a comparison
-    max_maj = system.max_hat_majorant(sigma_m)
-    samples = max(2 * params.n_trunc + 1, 256)
-    report.max_hat_empirical = max(
-        (empirical_sup_norm(f.hat, sigma_m * (1.0 - 1e-9), samples)
-         for f in system.transitions if f.hat.truncation),
-        default=0.0,
-    )
+    edges = system.nerve.edges
+    hats = [f.hat for f in system.transitions]
+    count = len(hats)
+    has_modes = np.array([h.truncation > 0 for h in hats], dtype=bool)
+    clock = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        report.phase_ms[phase] = (now - clock) * 1000.0
+        clock = now
+
+    # entry gate of the induction, with the transitions' nesting majorants
+    # in the same block; the sampled sup norm rides along in the report but
+    # never drives a comparison
+    maj = majorants(hats + hats, np.repeat([sigma_m, sigma_m - 3.0 * eta_m], count))
+    entry, nest_maps = maj[:count], np.where(has_modes, maj[count:], 0.0)
+    max_maj = float(np.max(entry, initial=0.0))
+    sampled = [h for h in hats if h.truncation]
+    degree = max((h.degree for h in sampled), default=0)
+    report.max_hat_empirical = float(np.max(
+        empirical_sup_norms(sampled, sigma_m * (1.0 - 1e-9), max(2 * degree + 1, 256)),
+        initial=0.0))
     report.record("hat_norm_below_delta", max_maj < delta_m, max_maj, delta_m,
                   "certified transition-hat norm against the schedule gate")
     enforce("hat_norm_below_delta")
 
     # coefficient decay audit (with the majorant itself as the norm bound)
-    decay_ok = True
-    for f in system.transitions:
-        if f.hat.truncation == 0:
-            continue
-        rep = decay_check(f.hat, majorant_norm(f.hat, sigma_m))
-        decay_ok = decay_ok and rep.passed
+    decay_ok = all(rep.passed for rep in decay_checks(sampled, entry[has_modes]))
     report.record("coefficient_decay", decay_ok, 0.0 if decay_ok else 1.0, 0.0,
                   "per-index decay of hat coefficients")
     enforce("coefficient_decay")
+    lap("gate")
 
     psis = _solve_changes(system, params, sigma_m, eta_m, report)
     enforce("change_reality_symmetry")
+    lap("solve")
 
-    # norm power law of the changes on shrunk strips
-    c1 = params.c1
-    power_ok, power_lhs, power_rhs = True, 0.0, 0.0
-    for c, psi in psis.items():
-        for nu in (1, 2, 3, 4):
-            lam = nu * eta_m
-            lhs = majorant_norm(psi.hat, sigma_m - lam)
-            rhs = c1 * max(max_maj, 1e-300) * lam ** (-params.mu)
-            if lhs > rhs:
-                power_ok = False
-                power_lhs, power_rhs = lhs, rhs
+    # one majorant block for the changes: the strips sigma_m - nu eta_m,
+    # nu = 1..4 (power law; nu = 1 and 4 are also the nesting widths), chart
+    # by chart, then the derivative majorants at sigma_m - eta_m
+    charts = system.nerve.charts
+    change_hats = [psis[c].hat for c in charts]
+    lams = [nu * eta_m for nu in (1, 2, 3, 4)]
+    cmaj = majorants(
+        [h for h in change_hats for _ in lams] + change_hats,
+        [sigma_m - lam for lam in lams] * len(charts) + [sigma_m - eta_m] * len(charts),
+        [0] * (len(lams) * len(charts)) + [1] * len(charts),
+    )
+    power = cmaj[: len(lams) * len(charts)].reshape(len(charts), len(lams))
+
+    # norm power law of the changes on shrunk strips; the last failing
+    # (chart, nu) pair is the one recorded
+    rhs = np.array([params.c1 * max(max_maj, 1e-300) * lam ** (-params.mu)
+                    for lam in lams])
+    failing = np.flatnonzero((power > rhs).ravel())
+    power_ok = failing.size == 0
+    power_lhs = 0.0 if power_ok else float(power.ravel()[failing[-1]])
+    power_rhs = 0.0 if power_ok else float(rhs[failing[-1] % len(lams)])
     report.record("change_norm_power_law", power_ok, power_lhs, power_rhs,
                   "change-hat majorant against C1 * |f| * lambda^-mu")
     enforce("change_norm_power_law")
 
     # derivative bound: contraction margin for inversion and injectivity
     deriv_bound = 1.0 / (1.0 + math.exp(params.sigma0))
-    deriv_worst = 0.0
-    for psi in psis.values():
-        deriv_worst = max(
-            deriv_worst, log_derivative_majorant(psi.hat, sigma_m - eta_m)
-        )
+    deriv_worst = float(np.max(cmaj[power.size:], initial=0.0))
     report.record("change_derivative_bound", deriv_worst <= deriv_bound,
                   deriv_worst, deriv_bound,
                   "log-lift derivative majorant of the changes")
     enforce("change_derivative_bound")
 
-    # annulus nesting that makes the renewed transitions well defined
-    nest_ok, nest_lhs = True, 0.0
-    for psi in psis.values():
-        for width in (sigma_m - 4.0 * eta_m, sigma_m - eta_m):
-            v = majorant_norm(psi.hat, width)
-            if v >= eta_m:
-                nest_ok = False
-                nest_lhs = max(nest_lhs, v)
-    for f in system.transitions:
-        v = majorant_norm(f.hat, sigma_m - 3.0 * eta_m) if f.hat.truncation else 0.0
-        if v >= eta_m:
-            nest_ok = False
-            nest_lhs = max(nest_lhs, v)
-    report.record("annulus_nesting", nest_ok, nest_lhs, eta_m,
-                  "radial displacement of charts and transitions")
+    # annulus nesting that makes the renewed transitions well defined: the
+    # changes at sigma_m - 4 eta_m and sigma_m - eta_m, the transitions at
+    # sigma_m - 3 eta_m
+    nest = np.concatenate([power[:, [3, 0]].ravel(), nest_maps])
+    nest_bad = nest[nest >= eta_m]
+    nest_ok = nest_bad.size == 0
+    report.record("annulus_nesting", nest_ok, float(np.max(nest_bad, initial=0.0)),
+                  eta_m, "radial displacement of charts and transitions")
     enforce("annulus_nesting")
+    lap("certificates")
 
-    # renewal: psi_k^{-1} o f o psi_j on the shrunk annulus, sampled on a
-    # grid sized by the three factors' degrees
-    new_transitions = []
+    # renewal: psi_k^{-1} o f o psi_j of every edge on the shrunk annulus, in
+    # one batched pass per grid, the grid sized by the factors' degrees
+    new_transitions, infos = renew_rows(
+        [psis[e.src] for e in edges], system.transitions, [psis[e.dst] for e in edges],
+        params.n_trunc, sigma_next, labels=[f"edge {e}" for e in edges])
     drift = 0.0
     tail_worst = 0.0
     proj_worst = report.symmetry_projection
-    for e, f in zip(system.nerve.edges, system.transitions):
-        src, dst = psis[e.src], psis[e.dst]
-        renewed, info = expand_by_degree(
-            lambda w: apply_inverse(dst, eval_diffeo(f, eval_diffeo(src, w))),
-            src.hat.degree + f.hat.degree + dst.hat.degree,
-            params.n_trunc, sigma_next)
-        new_transitions.append(renewed)
+    for f, renewed, info in zip(system.transitions, new_transitions, infos):
         d = abs(renewed.phase - f.phase) % TWO_PI
         drift = max(drift, min(d, TWO_PI - d))
         tail_worst = max(tail_worst, info.tail_mass)
@@ -525,6 +555,7 @@ def kam_step(
     new_system = TransitionSystem(system.nerve, tuple(new_transitions), sigma_next)
 
     new_maj = new_system.max_hat_majorant(sigma_next)
+    lap("renewal")
     report.record("contraction_claim", new_maj < delta_next, new_maj, delta_next,
                   "renewed hat norm against the next schedule gate")
     enforce("contraction_claim", ConvergenceViolationError)
@@ -551,15 +582,16 @@ class Conjugacy:
     final_width: float
 
     def residual(self, initial: TransitionSystem, samples: int = 128) -> float:
+        """Largest ``|charts[k](t_e u) - f_e(charts[j](u))|`` over the edges
+        and ``samples`` unit-circle points; NaN if any value is NaN, so a
+        comparison with the tolerance fails."""
         u = unit_circle(samples)
-        worst = 0.0
-        for e, f0, phi in zip(
-            initial.nerve.edges, initial.transitions, self.linear_cocycle.phases
-        ):
-            lhs = eval_diffeo(self.charts[e.dst], np.exp(1j * phi) * u)
-            rhs = eval_diffeo(f0, eval_diffeo(self.charts[e.src], u))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+        edges = initial.nerve.edges
+        turned = np.exp(1j * np.array(self.linear_cocycle.phases))[:, None] * u
+        lhs = eval_diffeos([self.charts[e.dst] for e in edges], turned)
+        rhs = eval_diffeos(initial.transitions,
+                           eval_diffeos([self.charts[e.src] for e in edges], u))
+        return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -613,6 +645,7 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     mid-iteration carries the trace so far on its ``trace`` attribute.
     """
     try:
+        _check_truncations(system, params.n_trunc)
         params = resolve_c0(system, params)
         gate = gate_check(system, params)
     except Exception as exc:
@@ -651,20 +684,24 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         try:
             system, psis, report = kam_step(system, m, params)
             sigma_next = sigma_m - 4.0 * eta_m
-            for c, psi in psis.items():
-                if m == 0:
-                    # the left factor is still the identity: nothing to compose
-                    phis[c] = CircleDiffeo(psi.phase, psi.hat.with_width(sigma_next))
-                else:
-                    phis[c] = compose(phis[c], psi, sigma_next,
-                                      n_trunc=params.n_trunc)
+            t_compose = time.perf_counter()
+            if m == 0:
+                # the left factor is still the identity: nothing to compose
+                phis = {c: CircleDiffeo(psi.phase, psi.hat.with_width(sigma_next))
+                        for c, psi in psis.items()}
+            else:
+                charts = list(psis)
+                phis = dict(zip(charts, compose_rows(
+                    [phis[c] for c in charts], [psis[c] for c in charts],
+                    sigma_next, params.n_trunc, labels=[f"chart {c}" for c in charts])))
         except Exception as exc:
             exc.trace = trace
             raise
-        wall_ms = (time.perf_counter() - t0) * 1000.0
+        t1 = time.perf_counter()
+        phase_ms = dict(report.phase_ms, compose=(t1 - t_compose) * 1000.0)
         trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj,
                               report.worst_mode_residual, report.tail_mass,
-                              wall_ms))
+                              (t1 - t0) * 1000.0), phase_ms)
         for cert in report.violations:
             trace.violations.append((m, cert))
 

@@ -21,7 +21,9 @@ import numpy as np
 from .circle import (
     CircleDiffeo,
     apply_inverse,
+    apply_inverses,
     eval_diffeo,
+    eval_diffeos,
     expand,
     identity_map,
     unit_circle,
@@ -248,7 +250,8 @@ def extract_simultaneous(
     The minus edges carry identities, so the converged coordinate changes of
     all three charts must agree; their disagreement is the collapse residual
     and exceeding ``collapse_tol`` raises. The returned residuals certify
-    ``psi0^{-1} o f_j o psi0 = rotation`` on sampled unit-circle points.
+    ``psi0^{-1} o f_j o psi0 = rotation`` on sampled unit-circle points. A
+    NaN or infinite collapse or linearization residual raises too.
     """
     nerve = scenario.system.nerve
     if len(nerve.charts) != 3:
@@ -263,25 +266,24 @@ def extract_simultaneous(
 
     u = unit_circle(samples)
     psi0 = conj.charts[base]
-    collapse = 0.0
-    for c in nerve.charts[1:]:
-        vals = eval_diffeo(conj.charts[c], u) - eval_diffeo(psi0, u)
-        collapse = max(collapse, float(np.max(np.abs(vals))))
-    if collapse > collapse_tol:
+    vals = eval_diffeos([conj.charts[c] for c in nerve.charts], u)
+    collapse = float(np.max(np.abs(vals[1:] - vals[0]), initial=0.0))
+    if not collapse <= collapse_tol:
         raise ExtractionError(
             f"chart collapse residual {collapse:.3e} exceeds {collapse_tol:.0e}; "
             "minus-edge relation does not hold"
         )
 
-    rotations = []
+    plus = [plus_edges[c] for c in nerve.charts[1:]]
+    rotations = [float(conj.linear_cocycle.phase_of(e)) for e in plus]
+    images = eval_diffeos([scenario.system.transition_of(e) for e in plus],
+                          np.broadcast_to(vals[0], (len(plus), u.size)))
+    lhs = apply_inverses([psi0] * len(plus), images)
+    gaps = np.max(np.abs(lhs - np.exp(1j * np.array(rotations))[:, None] * u), axis=-1)
+    if not np.all(np.isfinite(gaps)):
+        raise ExtractionError("linearization residual is not finite")
     residuals = {"collapse": collapse}
-    for c in nerve.charts[1:]:
-        e = plus_edges[c]
-        phi = conj.linear_cocycle.phase_of(e)
-        f0 = scenario.system.transition_of(e)
-        lhs = apply_inverse(psi0, eval_diffeo(f0, eval_diffeo(psi0, u)))
-        residuals[c] = float(np.max(np.abs(lhs - np.exp(1j * phi) * u)))
-        rotations.append(float(phi))
+    residuals.update(zip(nerve.charts[1:], gaps.tolist()))
     return SimultaneousResult(
         psi0=psi0, rotations=tuple(rotations), residuals=residuals
     )

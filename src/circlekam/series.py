@@ -14,9 +14,10 @@ analytic on a wider annulus must exhibit (``decay_check``).
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -88,7 +89,13 @@ class LaurentSeries:
         nonzero.setflags(write=False)
         return nonzero
 
-    @property
+    @cached_property
+    def rows(self) -> "SeriesRows":
+        """This series as the one row of a :class:`SeriesRows`, built once
+        (the coefficients are read-only)."""
+        return SeriesRows(self.coeffs[None], [self.width], self.support)
+
+    @cached_property
     def degree(self) -> int:
         """Effective degree: the largest |n| with a nonzero coefficient
         (0 for a constant or zero series)."""
@@ -174,14 +181,98 @@ class LaurentSeries:
         return cls.from_coeffs(coeffs, width, n_trunc=n_t)
 
 
-def eval_series(s: LaurentSeries, w: complex | np.ndarray) -> complex | np.ndarray:
-    """Evaluate ``sum c_n w^n`` by two Horner passes (n >= 0 in w, n < 0 in 1/w).
+class SeriesRows:
+    """Laurent series stacked as the rows of one dense block.
 
-    Each pass starts at the highest nonzero coefficient on its side, read off
-    the cached support, so the cost follows the effective degree of the
-    series, not its truncation N.
-    Leading zeros would keep the Horner accumulator at exactly 0, hence the
-    result equals the pass over all 2N+1 coefficients.
+    Entry ``K + n`` of row r of ``coeffs`` (shape (R, 2K+1)) is the
+    coefficient of ``w^n`` of series r, and ``widths[r]`` its width. ``hi``
+    is the largest n >= 0 and ``-lo`` the smallest n < 0 at which some row
+    is nonzero (``hi = -1``, ``lo = 0`` when there is none), so Horner passes
+    start at the highest nonzero coefficient of the block.
+    """
+
+    def __init__(self, coeffs: np.ndarray, widths, support: np.ndarray | None = None):
+        """``support`` holds the ascending mode indices at which some row is
+        nonzero; it is read off ``coeffs`` when not given."""
+        self.coeffs = coeffs
+        self.widths = np.asarray(widths, dtype=float)
+        # radii of the annulus bounds per row
+        self.inner, self.outer = np.exp(-self.widths), np.exp(self.widths)
+        if support is None:
+            center = (coeffs.shape[-1] - 1) // 2
+            support = np.flatnonzero(np.any(coeffs != 0, axis=0)) - center
+        self.hi = int(support[-1]) if support.size and support[-1] >= 0 else -1
+        self.lo = int(-support[0]) if support.size and support[0] < 0 else 0
+
+    @classmethod
+    def of(cls, hats: Sequence[LaurentSeries]) -> "SeriesRows":
+        """One row per series; a single series is used in place, several are
+        cut or zero-padded to the largest effective degree among them."""
+        if len(hats) == 1:
+            return hats[0].rows
+        k = max((s.degree for s in hats), default=0)
+        return cls(np.array([s.dense(k) for s in hats]).reshape(-1, 2 * k + 1),
+                   [s.width for s in hats])
+
+    def take(self, rows) -> "SeriesRows":
+        """The listed rows, keeping the block's Horner range."""
+        out = copy.copy(self)
+        out.coeffs, out.widths = self.coeffs[rows], self.widths[rows]
+        out.inner, out.outer = self.inner[rows], self.outer[rows]
+        return out
+
+    def outside(self, w: np.ndarray) -> np.ndarray:
+        """Per row: some point of ``w[r]`` lies outside the open annulus
+        ``(e^{-width}, e^{width})`` of the row (a NaN point is not)."""
+        r = np.abs(w)
+        return ((np.fmin.reduce(r, axis=-1) <= self.inner)
+                | (np.fmax.reduce(r, axis=-1) >= self.outer))
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """Row r evaluated at the points ``w[r]`` (``w`` of shape (R, M)), or
+        every row at the shared points ``w`` of shape (M,), or a single row at
+        the point ``w`` of shape (), by two Horner passes (n >= 0 in w, n < 0
+        in 1/w).
+
+        Coefficients above a row's own degree are zeros, which keep the
+        accumulator at exactly 0, so each row equals its own pass over all
+        of its coefficients.
+        """
+        center = (self.coeffs.shape[-1] - 1) // 2
+        band = self.coeffs[:, center - self.lo : center + self.hi + 1]
+        # c_-lo, ..., c_hi as scalars for one row (numpy adds a scalar faster
+        # than a broadcast column), else as (R, 1) columns
+        cols = band[0] if len(band) == 1 else band.T[:, :, None]
+        acc = np.zeros(band.shape[:1] + w.shape[-1:] if w.ndim else (), dtype=complex)
+        # c_hi down to c_0 in w, then c_-lo up to c_-1 in 1/w
+        acc = _horner(acc, cols[: self.lo - 1 if self.lo else None : -1], w)
+        if self.lo:
+            u = 1.0 / w
+            acc = acc + _horner(np.zeros(acc.shape, dtype=complex), cols[: self.lo], u) * u
+        return acc
+
+
+def _horner(acc, cols, w):
+    """``acc <- acc * w + c`` for c in ``cols``: in place on arrays; at a
+    scalar point in numpy's scalar arithmetic, which differs from its array
+    loops in the last bit."""
+    if acc.ndim:
+        for c in cols:
+            acc *= w
+            acc += c
+        return acc
+    for c in cols:
+        acc = acc * w + c
+    return acc
+
+
+def eval_series(s: LaurentSeries, w: complex | np.ndarray) -> complex | np.ndarray:
+    """Evaluate ``sum c_n w^n``: the one-row case of :class:`SeriesRows`.
+
+    The Horner passes start at the highest nonzero coefficient on each side,
+    read off the cached support, so the cost follows the effective degree of
+    the series, not its truncation N; the result equals the pass over all
+    2N+1 coefficients.
     """
     wa = np.asarray(w, dtype=complex)
     r = np.abs(wa)
@@ -190,80 +281,101 @@ def eval_series(s: LaurentSeries, w: complex | np.ndarray) -> complex | np.ndarr
         raise AnnulusDomainError(
             f"evaluation point outside the open annulus ({lo:.6g}, {hi:.6g})"
         )
-    n_t = s.truncation
-    sup = s.support
-    hi = int(sup[-1]) if sup.size and sup[-1] >= 0 else -1
-    lo = int(-sup[0]) if sup.size and sup[0] < 0 else 0
-    pos = s.coeffs[n_t : n_t + hi + 1]     # c_0, c_1, ..., c_hi
-    neg = s.coeffs[n_t - lo : n_t][::-1]   # c_{-1}, c_{-2}, ..., c_{-lo}
-    acc = np.zeros_like(wa)
-    for c in pos[::-1]:
-        acc = acc * wa + c
-    if neg.size:
-        u = 1.0 / wa
-        acc_neg = np.zeros_like(wa)
-        for c in neg[::-1]:
-            acc_neg = acc_neg * u + c
-        acc = acc + acc_neg * u
-    if np.isscalar(w) or np.asarray(w).ndim == 0:
-        return complex(acc)
-    return acc
+    if wa.ndim == 0:
+        return complex(SeriesRows.of([s])(wa))
+    return SeriesRows.of([s])(wa.reshape(1, -1)).reshape(wa.shape)
 
 
-def _weighted_sum(s: LaurentSeries, sigma_prime: float, power: int) -> float:
-    """``sum |n|^power |c_n| e^{|n| sigma'}`` over the nonzero coefficients.
+def _by_truncation(hats: Sequence[LaurentSeries]):
+    """Row indices per truncation among ``hats``, so that each block of
+    rows has one length."""
+    groups: dict = {}
+    for i, s in enumerate(hats):
+        groups.setdefault(s.truncation, []).append(i)
+    return [(n_t, np.array(rows)) for n_t, rows in groups.items()]
 
-    Zero coefficients are skipped rather than multiplied, so a large
-    ``N sigma'`` cannot turn ``0 * e^{|n| sigma'} = 0 * inf`` into NaN; a
-    nonzero coefficient whose weight overflows gives an honest inf.
+
+def majorants(hats: Sequence[LaurentSeries], sigmas, power=0) -> np.ndarray:
+    """Weighted coefficient sums ``sum |n|^power |c_n| e^{|n| sigma'}`` of
+    every hat at its ``sigma'`` (``sigmas`` and ``power`` broadcast over the
+    hats), one zero-filled (rows, 2N+1) block of terms per truncation N.
+
+    Only nonzero coefficients are weighted, so a large ``N sigma'`` cannot
+    turn ``0 * e^{|n| sigma'} = 0 * inf`` into NaN; a nonzero coefficient
+    whose weight overflows gives an honest inf. Each row sums the same
+    full-length zero-filled array as :func:`majorant_norm`, hence the same
+    bits.
     """
-    # the zero-filled full-length array keeps the summation order, hence the
-    # bits, of the sum over all 2N+1 coefficients
-    pos = s.support + s.truncation
-    n_abs = np.abs(s.support)
-    terms = np.zeros(s.coeffs.size)
-    with np.errstate(over="ignore"):
-        terms[pos] = (n_abs ** power * np.abs(s.coeffs[pos])
-                      * np.exp(n_abs * sigma_prime))
-    return float(np.sum(terms))
+    count = len(hats)
+    sig = np.broadcast_to(np.asarray(sigmas, dtype=float), (count,))
+    pw = np.broadcast_to(np.asarray(power, dtype=int), (count,))
+    for s, sp in zip(hats, sig.tolist()):
+        if not (0 < sp <= s.width):
+            raise AnnulusDomainError(f"sigma_prime={sp} not in (0, {s.width}]")
+    out = np.zeros(count)
+    for n_t, rows in _by_truncation(hats):
+        group = [hats[i] for i in rows]
+        local = np.arange(rows.size).repeat([s.support.size for s in group])
+        n = np.concatenate([s.support for s in group])
+        c = np.concatenate([s.coeffs[s.support + n_t] for s in group])
+        n_abs = np.abs(n)
+        terms = np.zeros((rows.size, 2 * n_t + 1))
+        with np.errstate(over="ignore"):
+            terms[local, n + n_t] = (n_abs ** pw[rows][local] * np.abs(c)
+                                     * np.exp(n_abs * sig[rows][local]))
+        out[rows] = np.sum(terms, axis=-1)
+    return out
 
 
 def majorant_norm(s: LaurentSeries, sigma_prime: float) -> float:
     """Weighted coefficient sum ``sum |c_n| e^{|n| sigma'}``.
 
     This dominates the sup of the series on the ``sigma'``-annulus, hence is
-    the certified one-sided norm used in every schedule comparison.
+    the certified one-sided norm used in every schedule comparison. The
+    one-row case of :func:`majorants`.
     """
-    if not (0 < sigma_prime <= s.width):
-        raise AnnulusDomainError(
-            f"sigma_prime={sigma_prime} not in (0, {s.width}]"
-        )
-    return _weighted_sum(s, sigma_prime, 0)
+    return float(majorants([s], sigma_prime)[0])
 
 
-def empirical_sup_norm(s: LaurentSeries, sigma_prime: float, samples: int) -> float:
-    """Max of ``|eval|`` over equispaced points of the circles
-    ``|w| = e^{-sigma'}, 1, e^{sigma'}``.
+def empirical_sup_norms(hats: Sequence[LaurentSeries], sigma_prime: float,
+                        samples: int) -> np.ndarray:
+    """Per hat: max of ``|eval|`` over ``samples`` equispaced points of each
+    of the circles ``|w| = e^{-sigma'}, 1, e^{sigma'}``, all hats in one
+    evaluation.
 
     A lower bound for the true sup-norm; by the maximum principle the sup on
     the closed sub-annulus is attained on its boundary, so bounded sampling
     error is the only gap. Reports pair it with :func:`majorant_norm`.
+    ``samples`` must be at least ``2d+1`` for the largest effective degree d
+    among the hats (the degree, not the truncation: zero coefficients add
+    nothing to resolve).
     """
-    if not (0 < sigma_prime < s.width):
-        raise AnnulusDomainError(
-            f"sigma_prime={sigma_prime} not in (0, {s.width})"
-        )
-    if samples < 2 * s.truncation + 1:
+    for s in hats:
+        if not (0 < sigma_prime < s.width):
+            raise AnnulusDomainError(
+                f"sigma_prime={sigma_prime} not in (0, {s.width})"
+            )
+    if not hats:
+        return np.zeros(0)
+    degree = max(s.degree for s in hats)
+    if samples < 2 * degree + 1:
         raise InsufficientSamplesError(
-            f"need at least 2N+1={2 * s.truncation + 1} samples, got {samples}"
+            f"need at least 2d+1={2 * degree + 1} samples for effective "
+            f"degree d={degree}, got {samples}"
         )
     theta = 2.0 * np.pi * np.arange(samples) / samples
     unit = np.exp(1j * theta)
-    best = 0.0
-    for radius in (np.exp(-sigma_prime), 1.0, np.exp(sigma_prime)):
-        vals = eval_series(s, radius * unit)
-        best = max(best, float(np.max(np.abs(vals))))
-    return best
+    radii = np.array([np.exp(-sigma_prime), 1.0, np.exp(sigma_prime)])
+    vals = SeriesRows.of(hats)((radii[:, None] * unit).ravel())
+    return np.max(np.abs(vals), axis=-1, initial=0.0)
+
+
+def empirical_sup_norm(s: LaurentSeries, sigma_prime: float, samples: int) -> float:
+    """The one-row case of :func:`empirical_sup_norms`: a sampled lower bound
+    for the sup of ``s`` on the closed ``sigma'``-annulus, from ``samples``
+    points on each boundary circle and the unit circle; ``samples`` must be
+    at least ``2d+1`` for the effective degree d of ``s``."""
+    return float(empirical_sup_norms([s], sigma_prime, samples)[0])
 
 
 def coeffs_from_circle(
@@ -281,11 +393,12 @@ def coeffs_from_circle(
 
 
 def circle_spectrum(fvals: Sequence[complex] | np.ndarray, n_trunc: int) -> np.ndarray:
-    """Normalised DFT ``fft(f) / M`` of M equispaced unit-circle samples:
-    entry k is the coefficient of ``w^k`` (k < M/2) or ``w^(k-M)`` up to
-    aliasing. Raises unless ``M >= 4 n_trunc``, as :func:`coeffs_from_circle`."""
+    """Normalised DFT ``fft(f) / M`` of M equispaced unit-circle samples,
+    along the last axis so that rows of samples stack: entry k is the
+    coefficient of ``w^k`` (k < M/2) or ``w^(k-M)`` up to aliasing. Raises
+    unless ``M >= 4 n_trunc``, as :func:`coeffs_from_circle`."""
     vals = np.asarray(fvals, dtype=complex)
-    m = vals.size
+    m = vals.shape[-1] if vals.ndim else 0
     if m < 4 * n_trunc or m < 1:
         raise InsufficientSamplesError(
             f"need at least 4N={4 * n_trunc} samples, got {m}"
@@ -295,16 +408,47 @@ def circle_spectrum(fvals: Sequence[complex] | np.ndarray, n_trunc: int) -> np.n
 
 def band_coeffs(spectrum: np.ndarray, n_trunc: int) -> np.ndarray:
     """Coefficients ``|n| <= n_trunc`` of a :func:`circle_spectrum`, in the
-    dense order of :class:`LaurentSeries`."""
-    return spectrum[np.arange(-n_trunc, n_trunc + 1) % spectrum.size]
+    dense order of :class:`LaurentSeries` (per row of a stacked one)."""
+    return spectrum[..., np.arange(-n_trunc, n_trunc + 1) % spectrum.shape[-1]]
+
+
+class _IndexFlags(Mapping):
+    """Read-only mapping from coefficient index to a flag, built from the
+    audit's arrays the first time an entry is read."""
+
+    def __init__(self, indices: np.ndarray, flags: np.ndarray):
+        self._arrays = (indices, flags)
+
+    @cached_property
+    def _dict(self) -> dict:
+        indices, flags = self._arrays
+        return dict(zip(indices.tolist(), flags.tolist()))
+
+    def __getitem__(self, n):
+        return self._dict[n]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._arrays[0])
+
+    def __repr__(self):
+        return repr(self._dict)
 
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Outcome of a coefficient-decay audit against a sup-norm bound."""
+    """Outcome of a coefficient-decay audit against a sup-norm bound.
+
+    ``per_index_ok`` maps each index n != 0 of the truncation to whether
+    ``|c_n|`` obeys the bound. :func:`decay_checks` fills it lazily: the
+    audit itself is array code, and the per-index dict is built only when
+    an entry of ``per_index_ok`` is read.
+    """
 
     norm_sigma: float
-    per_index_ok: dict = field(default_factory=dict)
+    per_index_ok: Mapping = field(default_factory=dict)
     passed: bool = True
     worst_index: int | None = None
     worst_excess: float = 0.0
@@ -325,42 +469,59 @@ class DecayReport:
         )
 
 
+def decay_checks(
+    hats: Sequence[LaurentSeries], norms, slack: float = 1e-12
+) -> list:
+    """Check ``|c_n| <= norm e^{-|n| width}`` index by index for every hat
+    against its norm bound, one array pass per truncation; one
+    :class:`DecayReport` per hat.
+
+    A norm must be a certified sup-norm bound for the underlying function
+    at the series' own width; any analytic function obeys this decay
+    (Cauchy estimates on the bounding circles), so a violation flags either
+    a bad norm bound or a non-analytic artifact.
+    """
+    norms = np.broadcast_to(np.asarray(norms, dtype=float), (len(hats),))
+    out = [None] * len(hats)
+    for n_t, rows in _by_truncation(hats):
+        block = np.array([hats[i].coeffs for i in rows])
+        n = np.arange(-n_t, n_t + 1)
+        keep = n != 0
+        n, c = n[keep], block[:, keep]
+        norm = norms[rows][:, None]
+        # one exponential per distinct width: the rows of a step share theirs
+        widths, row_width = np.unique([hats[i].width for i in rows], return_inverse=True)
+        decay = np.exp(-np.abs(n) * widths[:, None])[row_width]
+        # hypot is the modulus Python's abs(complex) computes; numpy's complex
+        # absolute may differ from it in the last bit
+        excess = np.hypot(c.real, c.imag) - norm * decay
+        good = excess <= slack * np.fmax(norm, 1.0)
+        # the worst index is the lowest failing n of largest positive excess;
+        # a NaN excess fails but is never the worst
+        ranked = np.where(~good & (excess > 0.0), excess, -np.inf)
+        worst = np.argmax(ranked, axis=-1) if n.size else np.zeros(len(rows), int)
+        for j, i in enumerate(rows):
+            hit = n.size > 0 and ranked[j, worst[j]] > -np.inf
+            out[i] = DecayReport(
+                norm_sigma=float(norms[i]),
+                per_index_ok=_IndexFlags(n, good[j]),
+                passed=bool(np.all(good[j])),
+                worst_index=int(n[worst[j]]) if hit else None,
+                worst_excess=float(excess[j, worst[j]]) if hit else 0.0,
+            )
+    return out
+
+
 def decay_check(
     s: LaurentSeries, norm_sigma: float, slack: float = 1e-12
 ) -> DecayReport:
-    """Check ``|c_n| <= norm_sigma e^{-|n| width}`` index by index.
-
-    ``norm_sigma`` must be a certified sup-norm bound for the underlying
-    function at the series' own width; any analytic function obeys this decay
-    (Cauchy estimates on the bounding circles), so a violation flags either a
-    bad norm bound or a non-analytic artifact.
-    """
-    n = s.indices()
-    keep = n != 0
-    n = n[keep]
-    c = s.coeffs[keep]
-    # hypot is the modulus Python's abs(complex) computes; numpy's complex
-    # absolute may differ from it in the last bit
-    excess = np.hypot(c.real, c.imag) - norm_sigma * np.exp(-np.abs(n) * s.width)
-    good = excess <= slack * max(1.0, norm_sigma)
-    # the worst index is the lowest failing n of largest positive excess;
-    # a NaN excess fails but is never the worst
-    bad = np.flatnonzero(~good & (excess > 0.0))
-    worst = bad[np.argmax(excess[bad])] if bad.size else None
-    return DecayReport(
-        norm_sigma=float(norm_sigma),
-        per_index_ok=dict(zip(n.tolist(), good.tolist())),
-        passed=bool(np.all(good)),
-        worst_index=None if worst is None else int(n[worst]),
-        worst_excess=0.0 if worst is None else float(excess[worst]),
-    )
+    """Check ``|c_n| <= norm_sigma e^{-|n| width}`` index by index: the
+    one-row case of :func:`decay_checks`."""
+    return decay_checks([s], norm_sigma, slack)[0]
 
 
 def log_derivative_majorant(s: LaurentSeries, sigma_prime: float) -> float:
     """Upper bound ``sum |n| |c_n| e^{|n| sigma'}`` for
-    ``sup |d/dzeta s(e^zeta)|`` on the strip ``|Re zeta| < sigma'``."""
-    if not (0 < sigma_prime <= s.width):
-        raise AnnulusDomainError(
-            f"sigma_prime={sigma_prime} not in (0, {s.width}]"
-        )
-    return _weighted_sum(s, sigma_prime, 1)
+    ``sup |d/dzeta s(e^zeta)|`` on the strip ``|Re zeta| < sigma'``; the
+    one-row, power-1 case of :func:`majorants`."""
+    return float(majorants([s], sigma_prime, 1)[0])

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from circlekam import CircleDiffeo, LaurentSeries, build_genus2, build_single_chart
+from circlekam import (
+    CircleDiffeo,
+    LaurentSeries,
+    build_genus2,
+    build_single_chart,
+    conjugated_rotation,
+)
 from circlekam.cli import main
 
 from conftest import GOLDEN, SILVER
@@ -234,6 +240,37 @@ class TestDioph:
     def test_resonant_spectrum_exits_3(self, resonant_scenario, capsys):
         assert main(["dioph", str(resonant_scenario), "--modes", "8"]) == 3
         assert read_stdout_json(capsys)["outcome"] == "resonant_mode"
+
+
+class TestFailClosed:
+    def test_verify_exits_3_on_non_finite_residual(self, tmp_path, capsys):
+        psi = CircleDiffeo(0.0, LaurentSeries.from_coeffs(
+            {1: 3e-5 * (1 + 0.7j), -1: -3e-5 * (1 - 0.7j)}, width=1.2))
+        sc = build_genus2(conjugated_rotation(psi, TWO_PI * GOLDEN, 64, 1.0),
+                          conjugated_rotation(psi, TWO_PI * SILVER, 64, 1.0),
+                          1.0, eta0=0.05, strict_schedule=False)
+        scenario = tmp_path / "pair.json"
+        sc.save(scenario)
+        out = tmp_path / "out"
+        assert main(["run", str(scenario), "--out", str(out)]) == 0
+        doc = json.loads((out / "conjugacy.json").read_text())
+        doc["charts"]["U1"]["hat"]["coeffs"] += [[40, 1e308, 0.0], [-40, -1e308, 0.0]]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = main(["verify", str(broken), str(scenario)])
+        assert code == 3
+        assert read_stdout_json(capsys)["outcome"] == "verification_failed"
+
+    def test_hat_beyond_truncation_exits_2(self, tmp_path, capsys):
+        hat = LaurentSeries.from_coeffs({100: 1e-9, -100: -1e-9}, width=1.0)
+        sc = build_single_chart(GOLDEN, hat, 1.0, eta0=0.05, n_trunc=64,
+                                strict_schedule=False)
+        path = tmp_path / "beyond.json"
+        sc.save(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert read_stdout_json(capsys)["outcome"] == "validation_error"
 
 
 class TestGenus2Cli:

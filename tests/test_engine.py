@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -287,6 +288,46 @@ class TestRun:
         res = run(sc.system, sc.params)
         assert res.converged
         assert all(math.isfinite(r.max_hat_norm) for r in res.trace.rows)
+
+    def test_hat_beyond_truncation_rejected(self):
+        # the step gathers modes |n| <= N only: a coefficient at |n| = 100
+        # under N = 64 was dropped, and the run reported converged with a
+        # conjugation residual of 2e-9, above tol
+        hat = LaurentSeries.from_coeffs({100: 1e-9, -100: -1e-9}, width=1.0)
+        sc = build_single_chart(GOLDEN, hat, 1.0, eta0=0.05, n_trunc=64,
+                                strict_schedule=False)
+        with pytest.raises(ValidationError) as info:
+            run(sc.system, sc.params)
+        assert "|n| = 100" in str(info.value) and "N = 64" in str(info.value)
+        assert info.value.trace.rows == []
+        with pytest.raises(ValidationError):
+            kam_step(sc.system, 0, resolve_c0(sc.system, sc.params))
+
+    def test_zero_padded_hat_beyond_truncation_runs(self):
+        # truncation 5000, degree 1: only zeros lie beyond N = 64; the
+        # report-only sup norm asked for 2 * 5000 + 1 samples and aborted
+        hat = LaurentSeries.from_coeffs({1: 1e-8, -1: -1e-8}, width=1.0, n_trunc=5000)
+        sc = build_single_chart(GOLDEN, hat, 1.0, eta0=0.05, n_trunc=64,
+                                strict_schedule=False)
+        res = run(sc.system, sc.params)
+        assert res.converged and res.steps >= 1
+        assert res.conjugation_residual <= 1e-10
+
+    def test_trace_json_carries_phase_wall_times(self):
+        sc = golden_scenario(1e-4, strict=False)
+        res = run(sc.system, sc.params)
+        rows = res.trace.to_json_dict()["rows"]
+        assert len(rows) == len(res.trace.rows) >= 2
+        for row, trace_row in zip(rows, res.trace.rows):
+            # the new field comes on top of the unchanged ones
+            assert {k: v for k, v in row.items() if k != "phase_ms"} == (
+                dataclasses.asdict(trace_row))
+        for row in rows[:-1]:
+            phases = row["phase_ms"]
+            assert set(phases) == {"gate", "solve", "certificates", "renewal", "compose"}
+            assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
+            assert sum(phases.values()) <= row["wall_ms"] * (1 + 1e-9)
+        assert rows[-1]["phase_ms"] == {}   # the converged row runs no step
 
     def test_trace_csv_shape(self):
         sc = golden_scenario(1e-4, strict=False)

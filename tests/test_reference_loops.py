@@ -1,14 +1,17 @@
 """The array-native numerical core against the per-mode and per-coefficient
 loops it replaced, the one-FFT spectral expansion against the two-FFT form
-it replaced, and the data-sized forms (degree-sized expansion grids, one
+it replaced, the data-sized forms (degree-sized expansion grids, one
 stacked solve per step, the mirrored spectrum) against the fixed-size forms
-they replaced.
+they replaced, and the edge-stacked step (stacked majorants, the array C0
+fit, the stacked decay audit, the batched renewal) against the per-edge
+loops it replaced.
 
 Each reference below is the replaced formulation kept verbatim. Where the
 new code performs the same floating-point operations in the same order on
 every nonzero term, results must match exactly, not within a tolerance.
-The degree-sized expansion samples a different grid and the stacked solve
-uses a pseudo-inverse instead of ``lstsq``; those match to round-off.
+The degree-sized expansion and the batched renewal sample a different grid
+and the stacked solve uses a pseudo-inverse instead of ``lstsq``; those
+match to round-off.
 """
 
 import numpy as np
@@ -18,24 +21,32 @@ from hypothesis import strategies as st
 
 from circlekam import (
     CircleDiffeo,
+    CircleKamError,
     CoboundaryError,
+    DiophantineFit,
     Edge,
     InsufficientSamplesError,
+    KamParams,
     LaurentSeries,
     Nerve,
+    TransitionSystem,
     ResonantModeError,
     UnitaryFlatBundle,
     ValidationError,
     WindingError,
     amplification_spectrum,
+    fit_diophantine,
+    rotation,
 )
 from circlekam.circle import (
     NOISE_FLOOR_FACTOR,
     ExpandInfo,
     _tracked_log,
+    apply_inverse,
     eval_diffeo,
     expand_by_degree,
     expand_detailed,
+    renew_rows,
     symmetrize,
     unit_circle,
 )
@@ -50,7 +61,16 @@ from circlekam.cocycle import (
     mode_matrix,
     solve_modes,
 )
-from circlekam.series import DecayReport, coeffs_from_circle, decay_check, eval_series
+from circlekam.engine import resolve_c0
+from circlekam.series import (
+    AnnulusDomainError,
+    DecayReport,
+    coeffs_from_circle,
+    decay_check,
+    decay_checks,
+    eval_series,
+    majorants,
+)
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -208,6 +228,65 @@ def amplification_spectrum_full(bundle, n_max):
     pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
     norms = np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
     return dict(zip(modes.tolist(), norms.tolist()))
+
+
+def majorant_loop(s, sigma_prime, power=0):
+    """One weighted sum per series over its zero-filled 2N+1 terms."""
+    if not (0 < sigma_prime <= s.width):
+        raise AnnulusDomainError(f"sigma_prime={sigma_prime} not in (0, {s.width}]")
+    pos = s.support + s.truncation
+    n_abs = np.abs(s.support)
+    terms = np.zeros(s.coeffs.size)
+    with np.errstate(over="ignore"):
+        terms[pos] = (n_abs ** power * np.abs(s.coeffs[pos])
+                      * np.exp(n_abs * sigma_prime))
+    return float(np.sum(terms))
+
+
+def fit_diophantine_loop(spectrum, mu):
+    """The power-law fit as a dict comprehension over the spectrum."""
+    if mu <= 1:
+        raise ValidationError(f"mu must exceed 1, got {mu}")
+    if not spectrum:
+        raise ValidationError("empty amplification spectrum")
+    ratios = {n: a / abs(n) ** (mu - 1.0) for n, a in spectrum.items()}
+    argmax = max(ratios, key=lambda n: (ratios[n], -abs(n)))
+    c0 = ratios[argmax]
+    per_mode = {n: spectrum[n] <= c0 * abs(n) ** (mu - 1.0) * (1 + 1e-12)
+                for n in spectrum}
+    last = max(abs(n) for n in spectrum)
+    bulk = float(np.median(list(ratios.values())))
+    superpoly = abs(argmax) == last and bulk > 0 and c0 > 4.0 * bulk
+    return DiophantineFit(c0=float(c0), mu=float(mu), argmax_mode=int(argmax),
+                          per_mode_pass=per_mode, superpolynomial=bool(superpoly))
+
+
+def expand_by_degree_loop(sample, degree, n_trunc, width):
+    """One map per call, on its own degree-sized grid."""
+    k = min(n_trunc, max(1, 2 * degree))
+    while k < n_trunc:
+        try:
+            f, info = expand_detailed(sample(unit_circle(4 * k)), k, width)
+            if info.tail_mass == 0.0:
+                hat = LaurentSeries(f.hat.dense(n_trunc), width)
+                return CircleDiffeo(f.phase, hat), info
+        except CircleKamError:
+            pass
+        k = min(2 * k, n_trunc)
+    return expand_detailed(sample(unit_circle(max(4 * n_trunc, 8))), n_trunc, width)
+
+
+def renew_by_edge(edges, src, maps, dst, n_trunc, width):
+    """psi_dst^{-1} o f o psi_src edge by edge; an error names its edge."""
+    out = []
+    for e, a, f, b in zip(edges, src, maps, dst):
+        try:
+            out.append(expand_by_degree_loop(
+                lambda w: apply_inverse(b, eval_diffeo(f, eval_diffeo(a, w))),
+                a.hat.degree + f.hat.degree + b.hat.degree, n_trunc, width))
+        except CircleKamError as exc:
+            raise type(exc)(f"edge {e}: {exc}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,3 +615,155 @@ def test_mirrored_spectrum_equals_full_on_forests(phases, n_max):
     want = amplification_spectrum_full(bundle, n_max)
     assert list(got) == list(want)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the edge-stacked step against its per-edge loops
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def majorant_rows(draw):
+    """Series of one truncation (or of a few), each with a sigma' in
+    (0, width] and a power 0 or 1."""
+    one = draw(st.booleans())
+    count = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(count):
+        s = draw(sparse_series())
+        if one:
+            s = LaurentSeries(s.dense(24), s.width)
+        rows.append(s)
+    sigmas = [s.width * draw(st.floats(0.01, 1.0)) for s in rows]
+    powers = draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+    return rows, sigmas, powers
+
+
+@settings(max_examples=150, deadline=None)
+@given(majorant_rows())
+def test_stacked_majorants_equal_per_row(data):
+    hats, sigmas, powers = data
+    got = majorants(hats, sigmas, powers)
+    want = [majorant_loop(h, sp, p) for h, sp, p in zip(hats, sigmas, powers)]
+    assert np.array_equal(got, want)
+
+
+def test_stacked_majorants_overflow_and_domain_as_per_row():
+    big = LaurentSeries.from_coeffs({1024: 1e-300, 1: 0.1}, width=1.0)
+    small = LaurentSeries.from_coeffs({1: 0.1}, width=1.0, n_trunc=1024)
+    with np.errstate(all="raise"):
+        got = majorants([big, small], 1.0, [0, 1])
+    assert got[0] == np.inf and got[1] == majorant_loop(small, 1.0, 1)
+    with pytest.raises(AnnulusDomainError):
+        majorants([small, big], [0.5, 1.5])
+
+
+def _c0_systems(bundle):
+    return TransitionSystem(bundle.nerve, tuple(rotation(p, 1.0) for p in bundle.phases),
+                            1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, TWO_PI, exclude_max=True),
+       st.integers(1, 1024), st.sampled_from([2.0, 1.5, 2.5, 3.7]))
+def test_array_c0_equals_dict_fit_on_genus2(phi1, phi2, n_max, mu):
+    bundle = genus2_bundle(phi1, phi2)
+    params = KamParams(sigma0=1.0, eta0=0.01, mu=mu, n_trunc=n_max)
+    try:
+        spectrum = amplification_spectrum(bundle, n_max)
+    except ResonantModeError:
+        with pytest.raises(ResonantModeError):
+            resolve_c0(_c0_systems(bundle), params)
+        return
+    want = fit_diophantine_loop(spectrum, mu)
+    assert resolve_c0(_c0_systems(bundle), params).c0 == want.c0
+    assert fit_diophantine(spectrum, mu) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=5),
+       st.integers(1, 512), st.sampled_from([2.0, 1.5, 2.5, 3.7]))
+def test_array_c0_equals_dict_fit_on_forests(phases, n_max, mu):
+    bundle = forest_bundle(phases)
+    params = KamParams(sigma0=1.0, eta0=0.01, mu=mu, n_trunc=n_max)
+    spectrum = amplification_spectrum(bundle, n_max)
+    want = fit_diophantine_loop(spectrum, mu)
+    assert resolve_c0(_c0_systems(bundle), params).c0 == want.c0
+    assert fit_diophantine(spectrum, mu) == want
+
+
+def test_dict_fit_equals_loop_on_synthetic_spectra():
+    for spectrum in ({n: float(abs(n)) for n in range(-16, 17) if n != 0},
+                     {n: float(np.exp(abs(n))) for n in range(-64, 65) if n != 0},
+                     {3: 2.0, -1: 0.5, 7: 9.0, -7: 9.0, 2: 1.0}):
+        for mu in (2.0, 1.3, 2.9):
+            assert fit_diophantine(spectrum, mu) == fit_diophantine_loop(spectrum, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_series(), min_size=1, max_size=6), st.floats(0.0, 3.0),
+       st.sampled_from([1e-12, 0.0]))
+def test_stacked_decay_audit_equals_per_edge(hats, norm_scale, slack):
+    norms = [norm_scale * float(np.max(np.abs(h.coeffs)) * np.exp(h.width * h.truncation))
+             for h in hats]
+    got = decay_checks(hats, norms, slack)
+    want = [decay_check_loop(h, n, slack) for h, n in zip(hats, norms)]
+    assert [(r.passed, r.worst_index) for r in got] == [
+        (r.passed, r.worst_index) for r in want]
+    assert got == want
+
+
+GENUS2_EDGES = genus2_bundle(0.0, 0.0).nerve.edges
+
+
+@st.composite
+def renewal_inputs(draw):
+    """The three factors of each genus-2 edge: chart changes psi_src and
+    psi_dst (phase 0) and a transition f, with small reality-symmetric hats
+    of mixed support."""
+    charts = {c: CircleDiffeo(0.0, draw(symmetric_hats())) for c in ("U0", "U1", "U2")}
+    maps = [CircleDiffeo(draw(st.floats(0.0, TWO_PI, exclude_max=True)),
+                         draw(symmetric_hats())) for _ in GENUS2_EDGES]
+    n_t = draw(st.sampled_from([32, 64, 128]))
+    src = [charts[e.src] for e in GENUS2_EDGES]
+    dst = [charts[e.dst] for e in GENUS2_EDGES]
+    return src, maps, dst, n_t
+
+
+@settings(max_examples=60, deadline=None)
+@given(renewal_inputs())
+def test_batched_renewal_matches_per_edge(data):
+    src, maps, dst, n_t = data
+    want = renew_by_edge(GENUS2_EDGES, src, maps, dst, n_t, 1.0)
+    got, infos = renew_rows(src, maps, dst, n_t, 1.0,
+                            labels=[f"edge {e}" for e in GENUS2_EDGES])
+    for g, info, (w, w_info) in zip(got, infos, want):
+        # the shared grid is at least as fine as each edge's own, so the two
+        # differ by round-off and by coefficients one side zeroes at its floor
+        tol = 4.0 * max(info.noise_floor, w_info.noise_floor)
+        assert g.hat.truncation == n_t
+        d = abs(g.phase - w.phase) % TWO_PI
+        assert min(d, TWO_PI - d) <= tol
+        assert np.max(np.abs(g.hat.coeffs - w.hat.coeffs)) <= tol
+        assert info.tail_mass <= w_info.tail_mass + tol
+
+
+@pytest.mark.parametrize("bad_chart", ["U1", "U2"])
+def test_batched_renewal_raises_as_per_edge(bad_chart):
+    # a chart change too large to invert: its edges fail in the log-lift
+    small = CircleDiffeo(0.0, LaurentSeries.from_coeffs({1: 1e-4, -1: -1e-4}, 1.5))
+    huge = CircleDiffeo(0.0, LaurentSeries.from_coeffs({1: 0.9, -1: -0.9, 2: 0.5j,
+                                                        -2: 0.5j}, 1.5))
+    charts = {"U0": small, "U1": small, "U2": small, bad_chart: huge}
+    src = [charts[e.src] for e in GENUS2_EDGES]
+    dst = [charts[e.dst] for e in GENUS2_EDGES]
+    maps = [CircleDiffeo(0.7, LaurentSeries.from_coeffs({1: 1e-4j, -1: 1e-4j}, 1.5))
+            for _ in GENUS2_EDGES]
+    with pytest.raises(CircleKamError) as ref:
+        renew_by_edge(GENUS2_EDGES, src, maps, dst, 64, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(CircleKamError) as got:
+        renew_rows(src, maps, dst, 64, 1.0, labels=[f"edge {e}" for e in GENUS2_EDGES])
+    assert type(got.value) is type(ref.value)
+    edge = str(ref.value).split(":")[0]
+    assert edge.startswith("edge U0->" + bad_chart)
+    assert str(got.value).split(":")[0] == edge

@@ -7,6 +7,8 @@ import pytest
 from circlekam import (
     CircleDiffeo,
     CoboundaryError,
+    Conjugacy,
+    ExtractionError,
     LaurentSeries,
     NotACircleMapError,
     ResonantModeError,
@@ -163,6 +165,19 @@ class TestExtraction:
         res = run(sc.system, sc.params)
         with pytest.raises(ValidationError):
             extract_simultaneous(res.conjugacy, sc)
+
+    def test_non_finite_residual_fails_closed(self):
+        # an overflowing chart coefficient makes the chart evaluate to NaN;
+        # max(worst, nan) kept the old worst, so the residual read as round-off
+        sc, _ = consistent_genus2()
+        res = run(sc.system, sc.params)
+        doc = res.conjugacy.to_json_dict()
+        doc["charts"]["U1"]["hat"]["coeffs"] += [[40, 1e308, 0.0], [-40, -1e308, 0.0]]
+        conj = Conjugacy.from_json_dict(doc)
+        with np.errstate(all="ignore"):
+            assert not conj.residual(sc.system) <= 1.0
+            with pytest.raises(ExtractionError):
+                extract_simultaneous(conj, sc)
 
     def test_rotations_match_rotation_numbers(self):
         sc, _ = consistent_genus2()

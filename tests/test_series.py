@@ -17,6 +17,7 @@ from circlekam import (
     log_derivative_majorant,
     majorant_norm,
 )
+from circlekam.series import empirical_sup_norms
 
 from conftest import random_symmetric_hat
 
@@ -128,6 +129,19 @@ class TestEmpiricalSup:
         s = LaurentSeries.from_coeffs({5: 1.0, -5: -1.0}, width=1.0)
         with pytest.raises(InsufficientSamplesError):
             empirical_sup_norm(s, 0.5, 10)
+
+    def test_sample_rule_follows_effective_degree(self):
+        # zeros beyond the degree add nothing to resolve: 2d+1 samples do
+        s = LaurentSeries.from_coeffs({1: 1e-3, -2: 2e-3}, width=1.0, n_trunc=5000)
+        assert empirical_sup_norm(s, 0.5, 5) == pytest.approx(
+            empirical_sup_norm(s.retruncate(2)[0], 0.5, 5), rel=1e-15)
+        with pytest.raises(InsufficientSamplesError):
+            empirical_sup_norm(s, 0.5, 4)
+
+    def test_stacked_sup_norms_are_the_one_row_values(self, rng):
+        hats = [random_symmetric_hat(rng, 1.0, 0.1, max_mode=m) for m in (1, 3, 6)]
+        got = empirical_sup_norms(hats, 0.4, 64)
+        assert np.array_equal(got, [empirical_sup_norm(h, 0.4, 64) for h in hats])
 
 
 class TestCoeffsFromCircle:
