@@ -18,7 +18,6 @@ from .circle import (
     compose,
     eval_diffeo,
     expand,
-    expand_map,
     identity_map,
     invert,
     rotation,

@@ -410,12 +410,6 @@ def renew_rows(src, maps, dst, n_trunc: int, width: float, labels=None):
     return expand_rows_by_degree(sample, degrees, n_trunc, width, labels)
 
 
-def expand_map(f, n_trunc: int, width: float, samples: int | None = None) -> CircleDiffeo:
-    """Sample a callable on the unit circle and expand it."""
-    m = samples if samples is not None else max(4 * n_trunc, 8)
-    return expand(f(unit_circle(m)), n_trunc, width)
-
-
 def _bump_weights(iters: int) -> np.ndarray:
     # w(k / T) for k = 1..T-1, normalised to sum 1; w(0) = w(1) = 0
     t = np.arange(1, iters) / iters

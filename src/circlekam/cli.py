@@ -5,28 +5,24 @@ Subcommands: ``run`` (full pipeline), ``gate`` (entry gate report),
 power-law fit), ``verify`` (conjugacy residual check). Exit codes: 0 success,
 2 validation error, 3 convergence or certificate failure. Every command
 prints a machine-readable JSON report to stdout; ``run`` also writes trace
-CSV/JSON, conjugacy JSON, and diagnostics JSON next to ``--out``.
+CSV/JSON, conjugacy JSON, and diagnostics JSON next to ``--out``. All JSON is
+strict: a non-finite number is written as ``null``. An error is reported by
+one handler in :func:`main` (``run`` writes its files in its own), from the
+``outcome`` and ``fields`` of its class.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import engine
 from .circle import ROTATION_ITERS
 from .cocycle import amplification_spectrum, fit_diophantine
-from .errors import (
-    CertificateError,
-    CircleKamError,
-    CoboundaryError,
-    ConvergenceViolationError,
-    ResonantModeError,
-    ScheduleViolationError,
-    TruncationError,
-)
+from .errors import CertificateError, CircleKamError, SchemaError
 from .scenarios import Scenario
 
 EXIT_OK = 0
@@ -34,64 +30,42 @@ EXIT_VALIDATION = 2
 EXIT_FAILURE = 3
 
 
-def _diagnose(exc: Exception) -> tuple[dict, int]:
-    if isinstance(exc, ResonantModeError):
-        return (
-            {
-                "outcome": "resonant_mode",
-                "mode": exc.mode,
-                "loop": exc.loop,
-                "message": str(exc),
-            },
-            EXIT_FAILURE,
-        )
-    if isinstance(exc, CoboundaryError):
-        return (
-            {"outcome": "coboundary_failure", "mode": exc.mode, "message": str(exc)},
-            EXIT_FAILURE,
-        )
-    if isinstance(exc, ConvergenceViolationError):
-        return (
-            {
-                "outcome": "convergence_violation",
-                "failed_certificate": exc.certificate,
-                "message": str(exc),
-            },
-            EXIT_FAILURE,
-        )
-    if isinstance(exc, ScheduleViolationError):
-        return (
-            {
-                "outcome": "schedule_violation",
-                "failed_certificate": exc.certificate,
-                "message": str(exc),
-            },
-            EXIT_FAILURE,
-        )
-    if isinstance(exc, TruncationError):
-        return ({"outcome": "truncation_error", "message": str(exc)}, EXIT_FAILURE)
-    if isinstance(exc, CertificateError):
-        return ({"outcome": "certificate_failure", "message": str(exc)}, EXIT_FAILURE)
-    return ({"outcome": "validation_error", "message": str(exc)}, EXIT_VALIDATION)
+def _diagnose(exc: CircleKamError) -> tuple[dict, int]:
+    """The report and exit code of a library error: its class's ``outcome``
+    and ``fields``, and exit 3 for certificate failures, 2 otherwise."""
+    diag = {key: getattr(exc, attr) for key, attr in exc.fields.items()}
+    diag.update(outcome=exc.outcome, message=str(exc))
+    return diag, EXIT_FAILURE if isinstance(exc, CertificateError) else EXIT_VALIDATION
+
+
+def _finite(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _dumps(doc: dict) -> str:
+    """Strict JSON: a NaN or infinite float is written as null."""
+    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
 
 
-def _load_scenario(path: str) -> Scenario:
-    return Scenario.load(path)
-
-
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, doc: dict | str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(doc if isinstance(doc, str) else _dumps(doc))
 
 
 def _cmd_run(args) -> int:
     out_dir = Path(args.out)
     try:
-        scenario = _load_scenario(args.scenario)
+        scenario = Scenario.load(args.scenario)
         if args.no_strict:
             scenario = scenario.with_strict(False)
         result = engine.run(scenario.system, scenario.params)
@@ -100,22 +74,17 @@ def _cmd_run(args) -> int:
         trace = getattr(exc, "trace", None)
         if trace is not None:
             _write(out_dir / "trace.csv", trace.to_csv())
-            _write(out_dir / "trace.json",
-                   json.dumps(trace.to_json_dict(), indent=2, sort_keys=True))
-        _write(out_dir / "diagnostics.json",
-               json.dumps(diag, indent=2, sort_keys=True))
+            _write(out_dir / "trace.json", trace.to_json_dict())
+        _write(out_dir / "diagnostics.json", diag)
         _emit(diag)
         return code
 
     outputs = scenario.outputs
     if "trace" in outputs:
         _write(out_dir / "trace.csv", result.trace.to_csv())
-        _write(out_dir / "trace.json",
-               json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True))
+        _write(out_dir / "trace.json", result.trace.to_json_dict())
     if "conjugacy" in outputs:
-        _write(out_dir / "conjugacy.json",
-               json.dumps(result.conjugacy.to_json_dict(), indent=2,
-                          sort_keys=True))
+        _write(out_dir / "conjugacy.json", result.conjugacy.to_json_dict())
     diag = {
         "outcome": result.outcome if result.converged else "non_convergence",
         "converged": result.converged,
@@ -130,48 +99,30 @@ def _cmd_run(args) -> int:
         "conventions": dict(engine.CONVENTIONS),
     }
     if "diagnostics" in outputs:
-        _write(out_dir / "diagnostics.json",
-               json.dumps(diag, indent=2, sort_keys=True))
+        _write(out_dir / "diagnostics.json", diag)
     _emit(diag)
     return EXIT_OK if result.converged else EXIT_FAILURE
 
 
 def _cmd_gate(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-        report = engine.gate_check(scenario.system, scenario.params)
-    except CircleKamError as exc:
-        diag, code = _diagnose(exc)
-        _emit(diag)
-        return code
+    scenario = Scenario.load(args.scenario)
+    report = engine.gate_check(scenario.system, scenario.params)
     _emit(report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
 def _cmd_rotnum(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-        rows = engine.alpha_vs_rotation(scenario.system, iters=args.iters)
-    except CircleKamError as exc:
-        diag, code = _diagnose(exc)
-        _emit(diag)
-        return code
-    _emit({"edges": rows})
+    scenario = Scenario.load(args.scenario)
+    _emit({"edges": engine.alpha_vs_rotation(scenario.system, iters=args.iters)})
     return EXIT_OK
 
 
 def _cmd_dioph(args) -> int:
-    try:
-        scenario = _load_scenario(args.scenario)
-        n_max = args.modes or scenario.params.n_trunc
-        mu = args.mu if args.mu is not None else scenario.params.mu
-        spectrum = amplification_spectrum(scenario.system.bundle(), n_max)
-        fit = fit_diophantine(spectrum, mu)
-    except CircleKamError as exc:
-        diag, code = _diagnose(exc)
-        _emit(diag)
-        return code
-    doc = fit.to_json_dict()
+    scenario = Scenario.load(args.scenario)
+    n_max = args.modes or scenario.params.n_trunc
+    mu = args.mu if args.mu is not None else scenario.params.mu
+    spectrum = amplification_spectrum(scenario.system.bundle(), n_max)
+    doc = fit_diophantine(spectrum, mu).to_json_dict()
     doc["spectrum"] = {str(n): a for n, a in sorted(spectrum.items())}
     doc["conventions"] = dict(engine.CONVENTIONS)
     _emit(doc)
@@ -179,26 +130,19 @@ def _cmd_dioph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    scenario = Scenario.load(args.scenario)
     try:
-        scenario = _load_scenario(args.scenario)
         doc = json.loads(Path(args.conjugacy).read_text())
         conj = engine.Conjugacy.from_json_dict(doc)
         residual = conj.residual(scenario.system, samples=args.samples)
     except (OSError, json.JSONDecodeError, KeyError) as exc:
-        _emit({"outcome": "validation_error", "message": str(exc)})
-        return EXIT_VALIDATION
-    except CircleKamError as exc:
-        diag, code = _diagnose(exc)
-        _emit(diag)
-        return code
+        raise SchemaError(str(exc)) from exc
     ok = residual <= args.tol
-    _emit(
-        {
-            "outcome": "verified" if ok else "verification_failed",
-            "residual": residual,
-            "tol": args.tol,
-        }
-    )
+    _emit({
+        "outcome": "verified" if ok else "verification_failed",
+        "residual": residual,
+        "tol": args.tol,
+    })
     return EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -242,7 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CircleKamError as exc:
+        diag, code = _diagnose(exc)
+        _emit(diag)
+        return code
 
 
 if __name__ == "__main__":

@@ -290,9 +290,6 @@ class ModeCochainSolution:
     amplification: float          # max_j |a_j| / max_e |b_e|
     has_kernel: bool = False      # gauge freedom (min-norm representative)
 
-    def as_dict(self, nerve: Nerve) -> dict:
-        return {c: complex(v) for c, v in zip(nerve.charts, self.a)}
-
 
 def _resonant_cycle(bundle: UnitaryFlatBundle, n: int):
     """Cycle minimizing |e^{i n holonomy} - 1|, or None if the nerve is a forest."""

@@ -13,12 +13,17 @@ One step at level m does, for a transition system of width sigma_m:
    re-extract phases and hats, and certify that the new norms contract
    quadratically below the schedule's delta sequence.
 
+These inequalities are held as data: one row of :data:`CERTIFICATES` each,
+checked by the one comparison :func:`_certify`, which records the binding
+lhs and rhs on a pass too and fails closed on a NaN or inf on either side.
+
 The schedule is a set of recursions: ``eta_{m+1} = mu^(-1/(mu+1))
 eta_m``, ``sigma_{m+1} = sigma_m - 4 eta_m``, ``delta_{m+1} = (1 +
 e^sigma0) C1 delta_m^2 / eta_m^(mu+1)``, started at ``delta_0 = min(eta_0,
 eta_0^(mu+1) / ((1 + e^sigma0) C1 mu))``. With ``strict_schedule`` the run
-aborts on the first failed certificate; otherwise failures are logged in the
-trace and the iteration continues, which is how behaviour outside the
+aborts on the first failed certificate with the row's exception, which
+carries the certificate, step, lhs and rhs; otherwise failures are logged in
+the trace and the iteration continues, which is how behaviour outside the
 guaranteed regime stays observable.
 
 All norm comparisons use the one-sided weighted coefficient sums
@@ -237,7 +242,7 @@ def _check_truncations(system: TransitionSystem, n_trunc: int) -> None:
 
 @dataclass(frozen=True)
 class CertRecord:
-    """One certified inequality: lhs <= rhs (within its stated slack)."""
+    """One row of the certificate ledger: lhs against rhs, and the verdict."""
 
     name: str
     passed: bool
@@ -260,11 +265,57 @@ class StepReport:
     # wall time in ms of the phases gate (entry gate, sup-norm report and
     # decay audit), solve, certificates and renewal
     phase_ms: dict = field(default_factory=dict)
+    strict: bool = False   # a failed certificate raises (strict_schedule)
 
-    def record(self, name: str, passed: bool, lhs: float, rhs: float, detail: str = ""):
-        self.certificates[name] = CertRecord(name, bool(passed), float(lhs), float(rhs), detail)
-        if not passed:
-            self.violations.append(name)
+    def ledger(self) -> dict:
+        """Every certificate as ``{name: {lhs, rhs, passed}}``."""
+        return {name: {"lhs": r.lhs, "rhs": r.rhs, "passed": r.passed}
+                for name, r in self.certificates.items()}
+
+
+# The certified inequalities of the iteration, one row each: name ->
+# (exception raised under strict_schedule, what the lhs measures).
+CERTIFICATES = {
+    "initial_norm_gate": (ScheduleViolationError,
+                          "largest transition-hat majorant at sigma0 against the entry gate"),
+    "hat_norm_below_delta": (ScheduleViolationError,
+                             "certified transition-hat norm against the schedule gate"),
+    "coefficient_decay": (ScheduleViolationError,
+                          "number of hats failing the per-index decay audit"),
+    "change_reality_symmetry": (ScheduleViolationError,
+                                "projection size of the solved change coefficients"),
+    "change_norm_power_law": (ScheduleViolationError,
+                              "change-hat majorant against C1 * |f| * lambda^-mu, "
+                              "at the (chart, nu) pair of largest ratio"),
+    "change_derivative_bound": (ScheduleViolationError,
+                                "log-lift derivative majorant of the changes"),
+    "annulus_nesting": (ScheduleViolationError,
+                        "largest radial displacement of charts and transitions"),
+    "phase_invariance": (ScheduleViolationError,
+                         "multiplier phase drift across the renewal"),
+    "tail_budget": (TruncationError, "discarded spectral tail mass"),
+    "contraction_claim": (ConvergenceViolationError,
+                          "renewed hat norm against the next schedule gate"),
+}
+
+
+def _certify(report: StepReport, name: str, lhs, rhs, strict_ineq: bool = False) -> None:
+    """Check row ``name`` of :data:`CERTIFICATES`, ``lhs < rhs`` if
+    ``strict_ineq`` else ``lhs <= rhs``, and record it on ``report``. It
+    passes only when both sides are finite and the inequality holds. A
+    failure under ``report.strict`` raises the row's exception."""
+    lhs, rhs = float(lhs), float(rhs)
+    exc_cls, detail = CERTIFICATES[name]
+    holds = lhs < rhs if strict_ineq else lhs <= rhs
+    passed = math.isfinite(lhs) and math.isfinite(rhs) and holds
+    report.certificates[name] = CertRecord(name, passed, lhs, rhs, detail)
+    if passed:
+        return
+    report.violations.append(name)
+    if report.strict:
+        op = "<" if strict_ineq else "<="
+        raise exc_cls(name, f"{name}: {lhs:.6e} !{op} {rhs:.6e} at step {report.m}",
+                      step=report.m, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -276,6 +327,9 @@ class TraceRow:
     max_hat_norm: float
     worst_mode_residual: float
     tail_mass: float
+    # the step's {name: {lhs, rhs, passed}}, empty for rows without a step;
+    # written to trace.json only, so trace.csv keeps its columns
+    certificates: dict
     wall_ms: float
 
 
@@ -350,14 +404,11 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
     sampled = [f.hat for f in system.transitions if f.hat.truncation]
     majs = iter(majorants(sampled, params.sigma0).tolist())
     per_edge = []
-    passed = True
     for e, f in zip(system.nerve.edges, system.transitions):
         maj = next(majs) if f.hat.truncation else 0.0
-        ok = maj < gate
-        passed = passed and ok
-        per_edge.append((str(e), float(maj), float(gate - maj), bool(ok)))
+        per_edge.append((str(e), float(maj), float(gate - maj), bool(maj < gate)))
     return GateReport(
-        passed=passed,
+        passed=all(row[3] for row in per_edge),
         gate_value=float(gate),
         c0_used=float(params.c0),
         c1=float(params.c1),
@@ -395,22 +446,12 @@ def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
     report.worst_mode_residual = max((sol.residual for sol in sols), default=0.0)
     report.modes_solved = len(modes)
 
-    psis = {}
-    proj = 0.0
-    for c, row in zip(nerve.charts, coeffs):
-        hat = LaurentSeries(row, sigma_m - eta_m)
-        hat, defect = symmetrize(hat)
-        proj = max(proj, defect)
-        psis[c] = CircleDiffeo(0.0, hat)
-    report.symmetry_projection = proj
-    report.record(
-        "change_reality_symmetry",
-        proj <= SYMMETRY_PROJECTION_TOL,
-        proj,
-        SYMMETRY_PROJECTION_TOL,
-        "projection size of the solved change coefficients",
-    )
-    return psis
+    change_hats, defects = zip(*(symmetrize(LaurentSeries(row, sigma_m - eta_m))
+                                 for row in coeffs))
+    report.symmetry_projection = float(np.max(defects))
+    _certify(report, "change_reality_symmetry", report.symmetry_projection,
+             SYMMETRY_PROJECTION_TOL)
+    return {c: CircleDiffeo(0.0, hat) for c, hat in zip(nerve.charts, change_hats)}
 
 
 def kam_step(
@@ -432,17 +473,7 @@ def kam_step(
             f"{sigma_m:.6g} at step {m}"
         )
     _check_truncations(system, params.n_trunc)
-    report = StepReport(m=m)
-    strict = params.strict_schedule
-
-    def enforce(name: str, exc_cls=ScheduleViolationError):
-        rec = report.certificates[name]
-        if strict and not rec.passed:
-            if exc_cls is ScheduleViolationError:
-                raise ScheduleViolationError(
-                    name, f"{name}: {rec.lhs:.6e} !<= {rec.rhs:.6e} at step {m}"
-                )
-            raise exc_cls(f"{name}: {rec.lhs:.6e} !<= {rec.rhs:.6e} at step {m}")
+    report = StepReport(m=m, strict=params.strict_schedule)
 
     edges = system.nerve.edges
     hats = [f.hat for f in system.transitions]
@@ -467,19 +498,15 @@ def kam_step(
     report.max_hat_empirical = float(np.max(
         empirical_sup_norms(sampled, sigma_m * (1.0 - 1e-9), max(2 * degree + 1, 256)),
         initial=0.0))
-    report.record("hat_norm_below_delta", max_maj < delta_m, max_maj, delta_m,
-                  "certified transition-hat norm against the schedule gate")
-    enforce("hat_norm_below_delta")
+    _certify(report, "hat_norm_below_delta", max_maj, delta_m, strict_ineq=True)
 
     # coefficient decay audit (with the majorant itself as the norm bound)
-    decay_ok = all(rep.passed for rep in decay_checks(sampled, entry[has_modes]))
-    report.record("coefficient_decay", decay_ok, 0.0 if decay_ok else 1.0, 0.0,
-                  "per-index decay of hat coefficients")
-    enforce("coefficient_decay")
+    decay_failures = sum(not audit.passed
+                         for audit in decay_checks(sampled, entry[has_modes]))
+    _certify(report, "coefficient_decay", decay_failures, 0.0)
     lap("gate")
 
     psis = _solve_changes(system, params, sigma_m, eta_m, report)
-    enforce("change_reality_symmetry")
     lap("solve")
 
     # one majorant block for the changes: the strips sigma_m - nu eta_m,
@@ -495,35 +522,22 @@ def kam_step(
     )
     power = cmaj[: len(lams) * len(charts)].reshape(len(charts), len(lams))
 
-    # norm power law of the changes on shrunk strips; the last failing
-    # (chart, nu) pair is the one recorded
+    # norm power law of the changes on shrunk strips, bound by the (chart,
+    # nu) pair of largest ratio (argmax picks a NaN first)
     rhs = np.array([params.c1 * max(max_maj, 1e-300) * lam ** (-params.mu)
                     for lam in lams])
-    failing = np.flatnonzero((power > rhs).ravel())
-    power_ok = failing.size == 0
-    power_lhs = 0.0 if power_ok else float(power.ravel()[failing[-1]])
-    power_rhs = 0.0 if power_ok else float(rhs[failing[-1] % len(lams)])
-    report.record("change_norm_power_law", power_ok, power_lhs, power_rhs,
-                  "change-hat majorant against C1 * |f| * lambda^-mu")
-    enforce("change_norm_power_law")
+    worst = np.argmax(power / rhs)
+    _certify(report, "change_norm_power_law", power.flat[worst], rhs[worst % len(lams)])
 
     # derivative bound: contraction margin for inversion and injectivity
-    deriv_bound = 1.0 / (1.0 + math.exp(params.sigma0))
-    deriv_worst = float(np.max(cmaj[power.size:], initial=0.0))
-    report.record("change_derivative_bound", deriv_worst <= deriv_bound,
-                  deriv_worst, deriv_bound,
-                  "log-lift derivative majorant of the changes")
-    enforce("change_derivative_bound")
+    _certify(report, "change_derivative_bound", np.max(cmaj[power.size:], initial=0.0),
+             1.0 / (1.0 + math.exp(params.sigma0)))
 
     # annulus nesting that makes the renewed transitions well defined: the
     # changes at sigma_m - 4 eta_m and sigma_m - eta_m, the transitions at
     # sigma_m - 3 eta_m
     nest = np.concatenate([power[:, [3, 0]].ravel(), nest_maps])
-    nest_bad = nest[nest >= eta_m]
-    nest_ok = nest_bad.size == 0
-    report.record("annulus_nesting", nest_ok, float(np.max(nest_bad, initial=0.0)),
-                  eta_m, "radial displacement of charts and transitions")
-    enforce("annulus_nesting")
+    _certify(report, "annulus_nesting", np.max(nest), eta_m, strict_ineq=True)
     lap("certificates")
 
     # renewal: psi_k^{-1} o f o psi_j of every edge on the shrunk annulus, in
@@ -531,34 +545,19 @@ def kam_step(
     new_transitions, infos = renew_rows(
         [psis[e.src] for e in edges], system.transitions, [psis[e.dst] for e in edges],
         params.n_trunc, sigma_next, labels=[f"edge {e}" for e in edges])
-    drift = 0.0
-    tail_worst = 0.0
-    proj_worst = report.symmetry_projection
-    for f, renewed, info in zip(system.transitions, new_transitions, infos):
-        d = abs(renewed.phase - f.phase) % TWO_PI
-        drift = max(drift, min(d, TWO_PI - d))
-        tail_worst = max(tail_worst, info.tail_mass)
-        proj_worst = max(proj_worst, info.symmetry_defect)
-    report.phase_drift = drift
-    report.tail_mass = tail_worst
-    report.symmetry_projection = proj_worst
-
-    report.record("phase_invariance", drift <= PHASE_DRIFT_TOL, drift,
-                  PHASE_DRIFT_TOL, "multiplier phase drift across the renewal")
-    enforce("phase_invariance")
-
-    report.record("tail_budget", tail_worst <= TAIL_BUDGET_FACTOR * delta_m,
-                  tail_worst, TAIL_BUDGET_FACTOR * delta_m,
-                  "discarded spectral tail mass")
-    enforce("tail_budget", TruncationError)
+    d = np.abs(np.array([f.phase for f in new_transitions])
+               - np.array([f.phase for f in system.transitions])) % TWO_PI
+    report.phase_drift = float(np.max(np.minimum(d, TWO_PI - d), initial=0.0))
+    report.tail_mass = float(np.max([i.tail_mass for i in infos], initial=0.0))
+    report.symmetry_projection = float(np.max(
+        [report.symmetry_projection] + [i.symmetry_defect for i in infos]))
+    _certify(report, "phase_invariance", report.phase_drift, PHASE_DRIFT_TOL)
+    _certify(report, "tail_budget", report.tail_mass, TAIL_BUDGET_FACTOR * delta_m)
 
     new_system = TransitionSystem(system.nerve, tuple(new_transitions), sigma_next)
-
     new_maj = new_system.max_hat_majorant(sigma_next)
     lap("renewal")
-    report.record("contraction_claim", new_maj < delta_next, new_maj, delta_next,
-                  "renewed hat norm against the next schedule gate")
-    enforce("contraction_claim", ConvergenceViolationError)
+    _certify(report, "contraction_claim", new_maj, delta_next, strict_ineq=True)
 
     return new_system, psis, report
 
@@ -642,42 +641,30 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     """Iterate until the certified hat norm drops below tol or max_iter hits.
 
     The per-chart conjugacy is composed step by step; any hard error raised
-    mid-iteration carries the trace so far on its ``trace`` attribute.
+    mid-iteration carries the trace so far on its ``trace`` attribute. From
+    level 1 on, the level's hat majorant is the previous step's
+    ``contraction_claim`` lhs: the same majorant at the same width.
     """
     try:
         _check_truncations(system, params.n_trunc)
         params = resolve_c0(system, params)
         gate = gate_check(system, params)
+        _certify(StepReport(m=0, strict=params.strict_schedule), "initial_norm_gate",
+                 np.max([row[1] for row in gate.per_edge], initial=0.0),
+                 gate.gate_value, strict_ineq=True)
     except Exception as exc:
         exc.trace = IterationTrace()
         raise
-    if not gate.passed and params.strict_schedule:
-        worst = min(gate.per_edge, key=lambda row: row[2])
-        err = ScheduleViolationError(
-            "initial_norm_gate",
-            f"initial norm gate failed on edge {worst[0]}: majorant "
-            f"{worst[1]:.3e} >= gate {gate.gate_value:.3e}",
-        )
-        err.trace = IterationTrace()
-        raise err
 
     trace = IterationTrace()
     initial = system
     phis = {c: identity_map(params.sigma0) for c in system.nerve.charts}
-    converged = False
-    steps = 0
+    max_maj = system.max_hat_majorant(params.sigma0)
     for m in range(params.max_iter + 1):
         sigma_m, eta_m, delta_m = schedule(params, m)
-        max_maj = system.max_hat_majorant(sigma_m)
-        if max_maj < params.tol:
-            trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj,
-                                  0.0, 0.0, 0.0))
-            converged = True
-            steps = m
-            break
-        if m == params.max_iter:
-            trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj,
-                                  0.0, 0.0, 0.0))
+        if max_maj < params.tol or m == params.max_iter:
+            trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj, 0.0, 0.0, {}, 0.0))
+            converged = max_maj < params.tol
             steps = m
             break
         t0 = time.perf_counter()
@@ -701,9 +688,10 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         phase_ms = dict(report.phase_ms, compose=(t1 - t_compose) * 1000.0)
         trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj,
                               report.worst_mode_residual, report.tail_mass,
-                              (t1 - t0) * 1000.0), phase_ms)
+                              report.ledger(), (t1 - t0) * 1000.0), phase_ms)
         for cert in report.violations:
             trace.violations.append((m, cert))
+        max_maj = report.certificates["contraction_claim"].lhs
 
     final_width = schedule(params, steps)[0]
     conj = Conjugacy(

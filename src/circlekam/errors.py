@@ -4,6 +4,9 @@ Two families matter downstream: ``ValidationError`` covers malformed inputs
 and broken structural invariants (CLI exit code 2), ``CertificateError``
 covers mathematical failures of the iteration, its certificates, and its
 solvers (CLI exit code 3). Everything derives from ``CircleKamError``.
+
+Each class names its failure in CLI reports by ``outcome``, and ``fields``
+maps the further report keys to the attributes that fill them.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 
 class CircleKamError(Exception):
     """Base class for all library errors."""
+
+    outcome = "validation_error"
+    fields: dict = {}
 
 
 class ValidationError(CircleKamError):
@@ -48,9 +54,13 @@ class SchemaError(ValidationError):
 class CertificateError(CircleKamError):
     """A mathematical certificate or solver failed."""
 
+    outcome = "certificate_failure"
+
 
 class NestingError(CertificateError):
     """Annulus-fit precondition for composition failed."""
+
+    fields = {"inclusion": "inclusion"}
 
     def __init__(self, message: str, inclusion: str = ""):
         super().__init__(message)
@@ -69,6 +79,9 @@ class ResonantModeError(CertificateError):
     """A mode-n coboundary system is resonant: some loop has trivial
     holonomy after n-fold twisting."""
 
+    outcome = "resonant_mode"
+    fields = {"mode": "mode", "loop": "loop"}
+
     def __init__(self, mode: int, loop=None, holonomy: float = 0.0, message: str = ""):
         self.mode = mode
         self.loop = list(loop) if loop is not None else []
@@ -85,6 +98,9 @@ class CoboundaryError(CertificateError):
     """Mode data is not a coboundary within tolerance (condition on the
     solvability of the per-mode linear system failed)."""
 
+    outcome = "coboundary_failure"
+    fields = {"mode": "mode"}
+
     def __init__(self, mode: int, residual: float, norm: float, message: str = ""):
         self.mode = mode
         self.residual = residual
@@ -98,22 +114,34 @@ class CoboundaryError(CertificateError):
 
 
 class ScheduleViolationError(CertificateError):
-    """A per-step certificate required by the iteration schedule failed."""
+    """A per-step certificate required by the iteration schedule failed:
+    ``lhs`` against ``rhs`` at level ``step``."""
 
-    def __init__(self, certificate: str, message: str = ""):
+    outcome = "schedule_violation"
+    fields = {"failed_certificate": "certificate", "step": "step", "margin": "margin"}
+
+    def __init__(self, certificate: str, message: str = "", step: int | None = None,
+                 lhs: float | None = None, rhs: float | None = None):
         self.certificate = certificate
+        self.step, self.lhs, self.rhs = step, lhs, rhs
+        # rhs - lhs: negative or NaN on a failure, None without sides
+        self.margin = None if lhs is None or rhs is None else rhs - lhs
         super().__init__(message or f"schedule certificate failed: {certificate}")
 
 
 class ConvergenceViolationError(ScheduleViolationError):
     """The quadratic-contraction claim failed at a step."""
 
-    def __init__(self, message: str = ""):
-        super().__init__("contraction_claim", message or "contraction claim failed")
+    outcome = "convergence_violation"
+
+    def __init__(self, certificate: str = "contraction_claim", message: str = "", **sides):
+        super().__init__(certificate, message or "contraction claim failed", **sides)
 
 
-class TruncationError(CertificateError):
+class TruncationError(ScheduleViolationError):
     """Discarded spectral tail mass exceeded its budget."""
+
+    outcome = "truncation_error"
 
 
 class ExtractionError(CertificateError):

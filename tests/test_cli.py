@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,12 +6,20 @@ import pytest
 
 from circlekam import (
     CircleDiffeo,
+    CoboundaryError,
+    ConvergenceViolationError,
     LaurentSeries,
+    NestingError,
+    ResonantModeError,
+    ScheduleViolationError,
+    SchemaError,
+    TruncationError,
     build_genus2,
     build_single_chart,
     conjugated_rotation,
 )
-from circlekam.cli import main
+from circlekam import engine
+from circlekam.cli import _diagnose, main
 
 from conftest import GOLDEN, SILVER
 
@@ -288,3 +297,98 @@ class TestGenus2Cli:
         doc = read_stdout_json(capsys)
         assert doc["outcome"] == "coboundary_failure"
         assert abs(doc["mode"]) == 1
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN / Infinity tokens Python would accept."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.fixture
+def genus2_run(tmp_path, capsys):
+    """A converged non-strict genus-2 run: (scenario path, out dir, stdout)."""
+    psi = CircleDiffeo(0.0, LaurentSeries.from_coeffs(
+        {1: 3e-5 * (1 + 0.7j), -1: -3e-5 * (1 - 0.7j)}, width=1.2))
+    sc = build_genus2(conjugated_rotation(psi, TWO_PI * GOLDEN, 64, 1.0),
+                      conjugated_rotation(psi, TWO_PI * SILVER, 64, 1.0),
+                      1.0, eta0=0.05, strict_schedule=False)
+    scenario = tmp_path / "pair.json"
+    sc.save(scenario)
+    out = tmp_path / "out"
+    assert main(["run", str(scenario), "--out", str(out)]) == 0
+    return scenario, out, capsys.readouterr().out
+
+
+class TestStrictJson:
+    def test_non_finite_residual_prints_null(self, genus2_run, tmp_path, capsys):
+        scenario, out, _ = genus2_run
+        doc = json.loads((out / "conjugacy.json").read_text())
+        doc["charts"]["U1"]["hat"]["coeffs"] += [[40, 1e308, 0.0], [-40, -1e308, 0.0]]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            assert main(["verify", str(broken), str(scenario)]) == 3
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "verification_failed"
+        assert report["residual"] is None
+
+    def test_run_files_are_strict_json(self, genus2_run):
+        _, out, stdout = genus2_run
+        strict_json(stdout)
+        for name in ("trace.json", "conjugacy.json", "diagnostics.json"):
+            strict_json((out / name).read_text())
+        rows = strict_json((out / "trace.json").read_text())["rows"]
+        assert all("certificates" in row for row in rows)
+
+
+# error, its outcome and the report keys besides outcome and message that
+# its report must keep
+DIAGNOSED = [
+    (TruncationError("tail_budget"), "truncation_error", set()),
+    (ConvergenceViolationError(), "convergence_violation", {"failed_certificate"}),
+    (ScheduleViolationError("annulus_nesting"), "schedule_violation",
+     {"failed_certificate"}),
+    (NestingError("chart U0 does not fit", "U0"), "certificate_failure", set()),
+    (ResonantModeError(3, loop=[("loop", 1)], holonomy=0.0), "resonant_mode",
+     {"mode", "loop"}),
+    (CoboundaryError(1, residual=1.0, norm=1.0), "coboundary_failure", {"mode"}),
+]
+
+
+class TestDiagnose:
+    @pytest.mark.parametrize("exc,outcome,keys", DIAGNOSED,
+                             ids=[type(exc).__name__ for exc, _, _ in DIAGNOSED])
+    def test_outcome_exit_code_and_keys(self, exc, outcome, keys):
+        diag, code = _diagnose(exc)
+        assert code == 3
+        assert diag["outcome"] == outcome and diag["message"] == str(exc)
+        assert keys | {"outcome", "message"} <= set(diag)
+        json.dumps(diag, allow_nan=False)
+
+    def test_validation_error_exits_2(self):
+        diag, code = _diagnose(SchemaError("bad document"))
+        assert code == 2 and diag == {"outcome": "validation_error",
+                                      "message": "bad document"}
+
+    def test_tail_budget_abort_names_step_and_margin(self, monkeypatch, tmp_path, capsys):
+        real = engine.renew_rows
+
+        def renew_rows(*args, **kwargs):
+            maps, infos = real(*args, **kwargs)
+            return maps, [dataclasses.replace(i, tail_mass=1.0) for i in infos]
+
+        monkeypatch.setattr(engine, "renew_rows", renew_rows)
+        hat = LaurentSeries.from_coeffs({1: 5e-7, -1: -5e-7}, width=1.0)
+        path = tmp_path / "in_gate.json"
+        build_single_chart(GOLDEN, hat, 1.0, eta0=0.05).save(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["outcome"] == "truncation_error"
+        assert doc["failed_certificate"] == "tail_budget" and doc["step"] == 0
+        assert doc["margin"] < 0
+        assert strict_json((out / "diagnostics.json").read_text()) == doc

@@ -11,6 +11,7 @@ from circlekam import (
     LaurentSeries,
     ResonantModeError,
     ScheduleViolationError,
+    TruncationError,
     ValidationError,
     alpha_vs_rotation,
     apply_inverse,
@@ -24,7 +25,8 @@ from circlekam import (
     schedule,
     unit_circle,
 )
-from circlekam.engine import CSV_HEADER, resolve_c0
+from circlekam import cocycle, engine
+from circlekam.engine import CERTIFICATES, CSV_HEADER, StepReport, _certify, resolve_c0
 
 from conftest import GOLDEN, random_symmetric_hat, safe_rotation_numbers
 
@@ -358,3 +360,112 @@ class TestAlphaVsRotation:
         rows = alpha_vs_rotation(sc.system, iters=32768)
         assert np.isfinite(rows[0]["difference_mod_2pi"])
         assert rows[0]["phase"] == pytest.approx(TWO_PI * GOLDEN)
+
+
+class TestCertificateLedger:
+    """Every certificate is one row checked by one comparison that fails
+    closed on a non-finite side and records its binding lhs and rhs."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("lhs,rhs", [(math.nan, 1.0), (1e-3, math.nan),
+                                         (math.inf, 1.0), (-math.inf, 1.0),
+                                         (1e-3, math.inf), (1e-3, -math.inf),
+                                         (math.nan, math.nan)])
+    def test_non_finite_side_fails(self, lhs, rhs, strict):
+        for strict_ineq in (False, True):
+            report = StepReport(m=3, strict=strict)
+            if strict:
+                with pytest.raises(ScheduleViolationError) as info:
+                    _certify(report, "annulus_nesting", lhs, rhs, strict_ineq)
+                err = info.value
+                assert (err.certificate, err.step) == ("annulus_nesting", 3)
+                assert err.lhs == lhs or math.isnan(lhs) and math.isnan(err.lhs)
+            else:
+                _certify(report, "annulus_nesting", lhs, rhs, strict_ineq)
+            assert report.violations == ["annulus_nesting"]
+            assert not report.certificates["annulus_nesting"].passed
+
+    def test_finite_sides_compare(self):
+        report = StepReport(m=0, strict=True)
+        _certify(report, "phase_invariance", 1.0, 1.0)
+        with pytest.raises(ScheduleViolationError):
+            _certify(report, "annulus_nesting", 1.0, 1.0, strict_ineq=True)
+        assert report.certificates["phase_invariance"].passed
+
+    def test_every_row_records_finite_binding_sides_on_a_pass(self):
+        sc = golden_scenario(5e-7)
+        params = resolve_c0(sc.system, sc.params)
+        _, _, rep = kam_step(sc.system, 0, params)
+        assert set(rep.certificates) == set(CERTIFICATES) - {"initial_norm_gate"}
+        for rec in rep.certificates.values():
+            assert rec.passed and math.isfinite(rec.lhs) and math.isfinite(rec.rhs), rec
+        # the power law and nesting record their binding values, not 0 = 0
+        assert rep.certificates["change_norm_power_law"].lhs > 0
+        assert rep.certificates["annulus_nesting"].lhs > 0
+
+    @staticmethod
+    def _renewal_with(monkeypatch, phase=None, tail_mass=None):
+        real = engine.renew_rows
+
+        def renew_rows(*args, **kwargs):
+            maps, infos = real(*args, **kwargs)
+            if phase is not None:
+                maps = [CircleDiffeo(phase, f.hat) for f in maps]
+            if tail_mass is not None:
+                infos = [dataclasses.replace(i, tail_mass=tail_mass) for i in infos]
+            return maps, infos
+
+        monkeypatch.setattr(engine, "renew_rows", renew_rows)
+
+    @pytest.mark.parametrize("name,change", [("phase_invariance", {"phase": math.nan}),
+                                             ("tail_budget", {"tail_mass": math.nan})])
+    def test_nan_renewal_fails_closed(self, monkeypatch, name, change):
+        self._renewal_with(monkeypatch, **change)
+        sc = golden_scenario(5e-7, strict=False)
+        params = resolve_c0(sc.system, sc.params)
+        _, _, rep = kam_step(sc.system, 0, params)
+        assert name in rep.violations and not rep.certificates[name].passed
+        raised = TruncationError if name == "tail_budget" else ScheduleViolationError
+        with pytest.raises(raised) as info:
+            kam_step(sc.system, 0, dataclasses.replace(params, strict_schedule=True))
+        assert info.value.certificate == name and info.value.step == 0
+
+    def test_level_majorant_reuses_the_contraction_claim(self, monkeypatch):
+        sc = golden_scenario(1e-4, strict=False)
+        real = engine.majorants
+        calls = []
+
+        def majorants(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "majorants", majorants)
+        monkeypatch.setattr(cocycle, "majorants", majorants)
+        res = run(sc.system, sc.params)
+        in_run = len(calls)
+        assert res.steps >= 2
+        # the same pieces one by one, the level majorant recomputed at every
+        # level: bit for bit the trace's, at one call more per level >= 1
+        calls.clear()
+        params = resolve_c0(sc.system, sc.params)
+        gate_check(sc.system, params)
+        system = sc.system
+        for m, row in enumerate(res.trace.rows):
+            assert system.max_hat_majorant(schedule(params, m)[0]) == row.max_hat_norm
+            if m < res.steps:
+                system, _, _ = kam_step(system, m, params)
+        assert in_run == len(calls) - res.steps
+
+    def test_trace_json_rows_carry_the_ledger(self):
+        sc = golden_scenario(1e-4, strict=False)
+        res = run(sc.system, sc.params)
+        rows = res.trace.to_json_dict()["rows"]
+        for row in rows[:-1]:
+            assert set(row["certificates"]) == set(CERTIFICATES) - {"initial_norm_gate"}
+            for cert in row["certificates"].values():
+                assert set(cert) == {"lhs", "rhs", "passed"}
+                assert math.isfinite(cert["lhs"]) and math.isfinite(cert["rhs"])
+        assert rows[-1]["certificates"] == {}
+        failed = {(row["m"], name) for row in rows
+                  for name, cert in row["certificates"].items() if not cert["passed"]}
+        assert failed == set(res.trace.violations)
