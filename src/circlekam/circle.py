@@ -86,10 +86,6 @@ class CircleDiffeo:
     def width(self) -> float:
         return self.hat.width
 
-    @property
-    def multiplier(self) -> complex:
-        return complex(np.exp(1j * self.phase))
-
     def is_rotation(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.hat.coeffs) <= tol))
 

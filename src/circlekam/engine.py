@@ -35,6 +35,7 @@ exponents are meaningful; every report header records that convention.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -49,7 +50,6 @@ from .circle import (
     identity_map,
     renew_rows,
     rotation_number,
-    symmetrize,
     unit_circle,
 )
 from .cocycle import (
@@ -91,14 +91,16 @@ TAIL_BUDGET_FACTOR = 1e-3
 
 @dataclass(frozen=True)
 class KamParams:
-    """Constants of the iteration schedule.
+    """Constants of the iteration schedule, and the one home of every run
+    default.
 
-    ``c0`` may be left as None and fitted from the measured amplification
-    spectrum when a run or gate report first needs it.
+    ``eta0`` left as None is :meth:`default_eta0`. ``c0`` may be left as
+    None and fitted from the measured amplification spectrum when a run or
+    gate report first needs it.
     """
 
     sigma0: float
-    eta0: float
+    eta0: float | None = None
     c0: float | None = None
     mu: float = 2.0
     n_trunc: int = 64
@@ -111,6 +113,8 @@ class KamParams:
             raise ValidationError(f"sigma0 must be positive, got {self.sigma0}")
         if not (self.mu > 1):
             raise ValidationError(f"mu must exceed 1, got {self.mu}")
+        if self.eta0 is None:
+            object.__setattr__(self, "eta0", self.default_eta0(self.sigma0, self.mu))
         bound = self.eta0_bound(self.sigma0, self.mu)
         if not (0 < self.eta0 < bound):
             raise ValidationError(
@@ -133,7 +137,7 @@ class KamParams:
         return min(math.pi, (1.0 - mu ** (-1.0 / (mu + 1.0))) * sigma0 / 4.0)
 
     @classmethod
-    def default_eta0(cls, sigma0: float, mu: float = 2.0) -> float:
+    def default_eta0(cls, sigma0: float, mu: float) -> float:
         """The ``eta0`` used when none is given: half the admissible bound."""
         return cls.eta0_bound(sigma0, mu) / 2.0
 
@@ -165,52 +169,53 @@ class KamParams:
         return dataclasses.replace(self, c0=c0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "C0": self.c0,
-            "mu": self.mu,
-            "sigma0": self.sigma0,
-            "eta0": self.eta0,
-            "N": self.n_trunc,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "strict_schedule": self.strict_schedule,
-        }
+        return {key: getattr(self, name) for key, (name, _) in _PARAM_KEYS.items()}
 
     @classmethod
     def from_json_dict(cls, doc: dict, sigma0: float | None = None) -> "KamParams":
-        sigma = float(doc.get("sigma0", sigma0))
-        mu = float(doc.get("mu", 2.0))
-        c0 = doc.get("C0")
-        return cls(
-            sigma0=sigma,
-            eta0=float(doc["eta0"]) if "eta0" in doc else cls.default_eta0(sigma, mu),
-            c0=None if c0 is None else float(c0),
-            mu=mu,
-            n_trunc=int(doc.get("N", 64)),
-            tol=float(doc.get("tol", 1e-10)),
-            max_iter=int(doc.get("max_iter", 40)),
-            strict_schedule=bool(doc.get("strict_schedule", True)),
-        )
+        """Parse a params document; a key the document omits takes the
+        field default, and ``sigma0`` stands in for a missing "sigma0"."""
+        given = {_PARAM_KEYS[key][0]: _PARAM_KEYS[key][1](value)
+                 for key, value in doc.items() if key in _PARAM_KEYS}
+        return cls(**{"sigma0": sigma0, **given})
 
 
-def schedule(params: KamParams, m: int) -> tuple[float, float, float]:
-    """(sigma_m, eta_m, delta_m): widths and gates at level m.
+# params document key -> (KamParams field, conversion of the document value)
+_PARAM_KEYS = {
+    "C0": ("c0", lambda v: None if v is None else float(v)),
+    "mu": ("mu", float),
+    "sigma0": ("sigma0", float),
+    "eta0": ("eta0", float),
+    "N": ("n_trunc", int),
+    "tol": ("tol", float),
+    "max_iter": ("max_iter", int),
+    "strict_schedule": ("strict_schedule", bool),
+}
 
-    eta is geometric; sigma and delta follow their recursions from level 0,
-    sigma by exactly the subtraction ``sigma_m - 4 eta_m`` that a step uses
-    for the width of the renewed system, so the two agree to the last bit.
-    """
+
+def _levels(params: KamParams, m: int = 0):
+    """Yield (sigma_k, eta_k, delta_k) for k = m, m+1, ...: the one place
+    the schedule recursions are written. Lazy, so a level is computed only
+    when a caller reaches it (a far ``delta_k**2`` can overflow)."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
     r = params.ratio
     sigma = params.sigma0
     delta = params.delta0
     factor = (1.0 + math.exp(params.sigma0)) * params.c1
-    for i in range(m):
-        eta_i = params.eta0 * r**i
-        sigma = sigma - 4.0 * eta_i
-        delta = factor * delta**2 / eta_i ** (params.mu + 1.0)
-    return sigma, params.eta0 * r**m, delta
+    for k in itertools.count():
+        eta = params.eta0 * r**k
+        if k >= m:
+            yield sigma, eta, delta
+        sigma = sigma - 4.0 * eta
+        delta = factor * delta**2 / eta ** (params.mu + 1.0)
+
+
+def schedule(params: KamParams, m: int) -> tuple[float, float, float]:
+    """(sigma_m, eta_m, delta_m): widths and gates at level m, read off
+    :func:`_levels`; eta is geometric, sigma and delta follow their
+    recursions from level 0."""
+    return next(_levels(params, m))
 
 
 def resolve_c0(system: TransitionSystem, params: KamParams) -> KamParams:
@@ -344,6 +349,9 @@ class IterationTrace:
     # plus the conjugacy composition), empty for rows without a step;
     # written to trace.json only, so trace.csv keeps its columns
     phase_ms: list = field(default_factory=list)
+    # the run's entry report, holding its initial_norm_gate record; its
+    # ledger is written to trace.json only, as a top-level key
+    entry: StepReport = field(default_factory=lambda: StepReport(m=0))
 
     def append(self, row: TraceRow, phase_ms: dict | None = None):
         self.rows.append(row)
@@ -361,6 +369,7 @@ class IterationTrace:
     def to_json_dict(self) -> dict:
         return {
             "conventions": dict(CONVENTIONS),
+            **self.entry.ledger(),
             "rows": [dict(dataclasses.asdict(r), phase_ms=p)
                      for r, p in zip(self.rows, self.phase_ms)],
             "violations": [
@@ -400,16 +409,13 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
     """Compare every edge's certified hat majorant at sigma0 against the gate
     ``min(eta0, eta0^(mu+1) / ((1 + e^sigma0) C1 mu))``. Pure report."""
     params = resolve_c0(system, params)
-    gate = params.delta0
-    sampled = [f.hat for f in system.transitions if f.hat.truncation]
-    majs = iter(majorants(sampled, params.sigma0).tolist())
-    per_edge = []
-    for e, f in zip(system.nerve.edges, system.transitions):
-        maj = next(majs) if f.hat.truncation else 0.0
-        per_edge.append((str(e), float(maj), float(gate - maj), bool(maj < gate)))
+    gate = float(params.delta0)
+    majs = majorants([f.hat for f in system.transitions], params.sigma0).tolist()
+    per_edge = [(str(e), maj, gate - maj, maj < gate)
+                for e, maj in zip(system.nerve.edges, majs)]
     return GateReport(
         passed=all(row[3] for row in per_edge),
-        gate_value=float(gate),
+        gate_value=gate,
         c0_used=float(params.c0),
         c1=float(params.c1),
         eta0=float(params.eta0),
@@ -446,12 +452,13 @@ def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
     report.worst_mode_residual = max((sol.residual for sol in sols), default=0.0)
     report.modes_solved = len(modes)
 
-    change_hats, defects = zip(*(symmetrize(LaurentSeries(row, sigma_m - eta_m))
-                                 for row in coeffs))
-    report.symmetry_projection = float(np.max(defects))
+    # one projection of the whole block onto the reality-symmetric subspace
+    flipped = np.conj(coeffs[:, ::-1])
+    report.symmetry_projection = float(np.max(np.abs(coeffs + flipped)))
     _certify(report, "change_reality_symmetry", report.symmetry_projection,
              SYMMETRY_PROJECTION_TOL)
-    return {c: CircleDiffeo(0.0, hat) for c, hat in zip(nerve.charts, change_hats)}
+    return {c: CircleDiffeo(0.0, LaurentSeries(row, sigma_m - eta_m))
+            for c, row in zip(nerve.charts, 0.5 * (coeffs - flipped))}
 
 
 def kam_step(
@@ -464,9 +471,8 @@ def kam_step(
     failures are recorded in the report and the step completes anyway.
     """
     params = resolve_c0(system, params)
-    sigma_m, eta_m, delta_m = schedule(params, m)
-    _, _, delta_next = schedule(params, m + 1)
-    sigma_next = sigma_m - 4.0 * eta_m
+    (sigma_m, eta_m, delta_m), (sigma_next, _, delta_next) = itertools.islice(
+        _levels(params, m), 2)
     if abs(system.width - sigma_m) > 1e-9:
         raise ValidationError(
             f"system width {system.width:.6g} does not match schedule width "
@@ -641,27 +647,27 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     """Iterate until the certified hat norm drops below tol or max_iter hits.
 
     The per-chart conjugacy is composed step by step; any hard error raised
-    mid-iteration carries the trace so far on its ``trace`` attribute. From
-    level 1 on, the level's hat majorant is the previous step's
-    ``contraction_claim`` lhs: the same majorant at the same width.
+    mid-iteration carries the trace so far on its ``trace`` attribute. The
+    level's hat majorant is the ``initial_norm_gate`` lhs at level 0 and the
+    previous step's ``contraction_claim`` lhs from level 1 on: the same
+    majorant at the same width.
     """
+    trace = IterationTrace(entry=StepReport(m=0, strict=params.strict_schedule))
     try:
         _check_truncations(system, params.n_trunc)
         params = resolve_c0(system, params)
         gate = gate_check(system, params)
-        _certify(StepReport(m=0, strict=params.strict_schedule), "initial_norm_gate",
+        _certify(trace.entry, "initial_norm_gate",
                  np.max([row[1] for row in gate.per_edge], initial=0.0),
                  gate.gate_value, strict_ineq=True)
     except Exception as exc:
-        exc.trace = IterationTrace()
+        exc.trace = trace
         raise
 
-    trace = IterationTrace()
     initial = system
     phis = {c: identity_map(params.sigma0) for c in system.nerve.charts}
-    max_maj = system.max_hat_majorant(params.sigma0)
-    for m in range(params.max_iter + 1):
-        sigma_m, eta_m, delta_m = schedule(params, m)
+    max_maj = trace.entry.certificates["initial_norm_gate"].lhs
+    for m, (sigma_m, eta_m, delta_m) in enumerate(_levels(params)):
         if max_maj < params.tol or m == params.max_iter:
             trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj, 0.0, 0.0, {}, 0.0))
             converged = max_maj < params.tol
@@ -670,17 +676,16 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         t0 = time.perf_counter()
         try:
             system, psis, report = kam_step(system, m, params)
-            sigma_next = sigma_m - 4.0 * eta_m
             t_compose = time.perf_counter()
             if m == 0:
                 # the left factor is still the identity: nothing to compose
-                phis = {c: CircleDiffeo(psi.phase, psi.hat.with_width(sigma_next))
+                phis = {c: CircleDiffeo(psi.phase, psi.hat.with_width(system.width))
                         for c, psi in psis.items()}
             else:
                 charts = list(psis)
                 phis = dict(zip(charts, compose_rows(
                     [phis[c] for c in charts], [psis[c] for c in charts],
-                    sigma_next, params.n_trunc, labels=[f"chart {c}" for c in charts])))
+                    system.width, params.n_trunc, labels=[f"chart {c}" for c in charts])))
         except Exception as exc:
             exc.trace = trace
             raise
@@ -693,11 +698,10 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
             trace.violations.append((m, cert))
         max_maj = report.certificates["contraction_claim"].lhs
 
-    final_width = schedule(params, steps)[0]
     conj = Conjugacy(
         charts=phis,
         linear_cocycle=system.bundle(),
-        final_width=final_width,
+        final_width=sigma_m,
     )
     residual = conj.residual(initial)
     return RunResult(

@@ -35,13 +35,16 @@ from .series import LaurentSeries
 
 TWO_PI = 2.0 * np.pi
 
+# What ``circlekam run`` writes when a scenario does not list its outputs.
+OUTPUTS = ("trace", "conjugacy", "diagnostics")
+
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
     system: TransitionSystem
     params: KamParams
-    outputs: tuple = ("trace", "conjugacy", "diagnostics")
+    outputs: tuple = OUTPUTS
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,7 +95,7 @@ class Scenario:
             nerve = Nerve(charts, tuple(edges),
                           tuple(tuple(t) for t in doc.get("triples", [])))
             params = KamParams.from_json_dict(doc.get("params", {}), sigma0=width)
-            outputs = tuple(doc.get("outputs", ("trace", "conjugacy", "diagnostics")))
+            outputs = tuple(doc.get("outputs", OUTPUTS))
         except KeyError as exc:
             raise SchemaError(f"scenario document missing field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
@@ -121,31 +124,17 @@ class Scenario:
         return replace(self, params=replace(self.params, strict_schedule=strict))
 
 
-def _params(sigma0, eta0, c0, mu, n_trunc, tol, max_iter, strict_schedule):
-    if eta0 is None:
-        eta0 = KamParams.default_eta0(sigma0, mu)
-    return KamParams(
-        sigma0=sigma0, eta0=eta0, c0=c0, mu=mu, n_trunc=n_trunc, tol=tol,
-        max_iter=max_iter, strict_schedule=strict_schedule,
-    )
-
-
 def build_single_chart(
     theta: float,
     hat: LaurentSeries,
     sigma0: float,
     *,
     name: str = "single_chart",
-    eta0: float | None = None,
-    c0: float | None = None,
-    mu: float = 2.0,
-    n_trunc: int = 64,
-    tol: float = 1e-10,
-    max_iter: int = 40,
-    strict_schedule: bool = True,
+    **params,
 ) -> Scenario:
     """One chart, one self-loop of phase ``2 pi theta`` carrying ``hat``:
-    classical linearization of a single circle diffeomorphism."""
+    classical linearization of a single circle diffeomorphism. ``params``
+    are any :class:`KamParams` fields but ``sigma0``."""
     if hat.width < sigma0:
         raise ValidationError(
             f"hat width {hat.width:.6g} is below the requested sigma0 {sigma0:.6g}"
@@ -153,12 +142,7 @@ def build_single_chart(
     loop = CircleDiffeo(TWO_PI * theta, hat.with_width(sigma0))
     nerve = Nerve(("U0",), (Edge("U0", "U0", "loop"),), ())
     system = TransitionSystem(nerve, (loop,), sigma0)
-    return Scenario(
-        name=name,
-        system=system,
-        params=_params(sigma0, eta0, c0, mu, n_trunc, tol, max_iter,
-                       strict_schedule),
-    )
+    return Scenario(name=name, system=system, params=KamParams(sigma0, **params))
 
 
 def build_genus2(
@@ -167,17 +151,12 @@ def build_genus2(
     sigma0: float,
     *,
     name: str = "genus2",
-    eta0: float | None = None,
-    c0: float | None = None,
-    mu: float = 2.0,
-    n_trunc: int = 64,
-    tol: float = 1e-10,
-    max_iter: int = 40,
-    strict_schedule: bool = True,
+    **params,
 ) -> Scenario:
     """Genus-2 suspension nerve: charts U0, U1, U2; doubled overlaps between
     U0 and each U_j, the plus copy carrying f_j and the minus copy the
-    identity; the triple overlap is empty."""
+    identity; the triple overlap is empty. ``params`` are any
+    :class:`KamParams` fields but ``sigma0``."""
     maps = []
     for f in (f1, f2):
         if f.width < sigma0:
@@ -200,12 +179,7 @@ def build_genus2(
         (maps[0], identity_map(sigma0), maps[1], identity_map(sigma0)),
         sigma0,
     )
-    return Scenario(
-        name=name,
-        system=system,
-        params=_params(sigma0, eta0, c0, mu, n_trunc, tol, max_iter,
-                       strict_schedule),
-    )
+    return Scenario(name=name, system=system, params=KamParams(sigma0, **params))
 
 
 def conjugated_rotation(

@@ -116,10 +116,6 @@ class LaurentSeries:
         out[n_trunc - k : n_trunc + k + 1] = self.coeffs[n_t - k : n_t + k + 1]
         return out
 
-    def indices(self) -> np.ndarray:
-        n_t = self.truncation
-        return np.arange(-n_t, n_t + 1)
-
     def with_width(self, width: float) -> "LaurentSeries":
         return LaurentSeries(self.coeffs, width)
 
@@ -137,18 +133,6 @@ class LaurentSeries:
         hi = old + n_trunc + 1
         discarded = float(np.sum(np.abs(self.coeffs[:lo])) + np.sum(np.abs(self.coeffs[hi:])))
         return LaurentSeries(self.coeffs[lo:hi], self.width), discarded
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        n_t = max(self.truncation, other.truncation)
-        arr = np.zeros(2 * n_t + 1, dtype=complex)
-        s = n_t - self.truncation
-        arr[s : s + self.coeffs.size] += self.coeffs
-        o = n_t - other.truncation
-        arr[o : o + other.coeffs.size] += other.coeffs
-        return LaurentSeries(arr, min(self.width, other.width))
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(-self.coeffs, self.width)
 
     def scale(self, factor: complex) -> "LaurentSeries":
         return LaurentSeries(self.coeffs * factor, self.width)

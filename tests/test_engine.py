@@ -70,6 +70,21 @@ class TestParams:
         assert built.params.eta0 == limit / 2.0
 
 
+    @pytest.mark.parametrize("sigma0", [1.0, 0.14126984126984127, 40.0])
+    @pytest.mark.parametrize("mu", [2.0, 2.5])
+    def test_every_route_takes_the_field_defaults(self, sigma0, mu):
+        # the constructor, a params document that names only mu and both
+        # builders all leave eta0, N, tol, max_iter and strict_schedule to
+        # the KamParams fields
+        direct = KamParams(sigma0, mu=mu)
+        assert direct.eta0 == KamParams.default_eta0(sigma0, mu)
+        assert KamParams.from_json_dict({"mu": mu}, sigma0=sigma0) == direct
+        hat = LaurentSeries.zero(sigma0, 2)
+        assert build_single_chart(GOLDEN, hat, sigma0, mu=mu).params == direct
+        f = CircleDiffeo(TWO_PI * GOLDEN, hat)
+        assert build_genus2(f, f, sigma0, mu=mu).params == direct
+
+
 class TestSchedule:
     def test_level_zero_is_entry_gate(self):
         p = KamParams(sigma0=1.0, eta0=0.05, c0=0.5, mu=2.0)
@@ -445,7 +460,8 @@ class TestCertificateLedger:
         in_run = len(calls)
         assert res.steps >= 2
         # the same pieces one by one, the level majorant recomputed at every
-        # level: bit for bit the trace's, at one call more per level >= 1
+        # level: bit for bit the trace's, at one call more per level, level 0
+        # (read off the entry gate in the run) included
         calls.clear()
         params = resolve_c0(sc.system, sc.params)
         gate_check(sc.system, params)
@@ -454,7 +470,7 @@ class TestCertificateLedger:
             assert system.max_hat_majorant(schedule(params, m)[0]) == row.max_hat_norm
             if m < res.steps:
                 system, _, _ = kam_step(system, m, params)
-        assert in_run == len(calls) - res.steps
+        assert in_run == len(calls) - res.steps - 1
 
     def test_trace_json_rows_carry_the_ledger(self):
         sc = golden_scenario(1e-4, strict=False)
@@ -469,3 +485,22 @@ class TestCertificateLedger:
         failed = {(row["m"], name) for row in rows
                   for name, cert in row["certificates"].items() if not cert["passed"]}
         assert failed == set(res.trace.violations)
+
+    def test_trace_json_records_the_entry_gate(self):
+        # a non-strict run past the entry gate says so in trace.json, next to
+        # the rows and violations it leaves as they were
+        for eps, passed in ((1e-4, False), (1e-7, True)):
+            sc = golden_scenario(eps, strict=False)
+            res = run(sc.system, sc.params)
+            doc = res.trace.to_json_dict()
+            assert doc["initial_norm_gate"] == {
+                "lhs": doc["rows"][0]["max_hat_norm"],
+                "rhs": res.gate.gate_value,
+                "passed": passed,
+            }
+            assert "initial_norm_gate" not in {c for _, c in res.trace.violations}
+        # a strict run that the gate aborts carries the record on its trace
+        sc = golden_scenario(1e-4)
+        with pytest.raises(ScheduleViolationError) as info:
+            run(sc.system, sc.params)
+        assert info.value.trace.to_json_dict()["initial_norm_gate"]["passed"] is False
