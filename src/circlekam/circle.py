@@ -12,7 +12,6 @@ number of ``f(w)/w`` being the only obstruction to that branch existing.
 from __future__ import annotations
 
 import cmath
-import functools
 import logging
 import warnings
 from dataclasses import dataclass
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AnnulusDomainError,
     CircleKamError,
     InsufficientSamplesError,
     InversionDivergedError,
@@ -38,6 +36,7 @@ from .series import (
     log_derivative_majorant,
     majorant_norm,
     majorants,
+    unit_circle,
 )
 
 logger = logging.getLogger(__name__)
@@ -121,17 +120,6 @@ def rotation(phase: float, width: float, n_trunc: int = 0) -> CircleDiffeo:
     return CircleDiffeo(phase, LaurentSeries.zero(width, n_trunc))
 
 
-@functools.lru_cache(maxsize=32)
-def unit_circle(samples: int) -> np.ndarray:
-    """Equispaced points ``e^{2 pi i k / M}``, k = 0..M-1.
-
-    One read-only array per M is computed once and shared by every caller.
-    """
-    points = np.exp(2j * np.pi * np.arange(samples) / samples)
-    points.setflags(write=False)
-    return points
-
-
 # -- rows of maps --------------------------------------------------------------
 #
 # The row functions below evaluate, invert and expand several maps at once,
@@ -168,9 +156,7 @@ def _rows_of(maps) -> tuple[np.ndarray, SeriesRows]:
 def _eval_rows(phases: np.ndarray, hats: SeriesRows, w: np.ndarray, errors: dict):
     """Row r: ``w[r] exp(i phase_r + hat_r(w[r]))`` (or at the shared points
     ``w``); a row with a point outside its annulus fails."""
-    _fail(errors, hats.outside(w), lambda r: AnnulusDomainError(
-        f"evaluation point outside the open annulus ({hats.inner[r]:.6g}, "
-        f"{hats.outer[r]:.6g})"))
+    _fail(errors, hats.outside(w), hats.domain_error)
     return w * np.exp(1j * phases[:, None] + hats(w))
 
 
@@ -199,9 +185,7 @@ def _solve_log_lift(hats: SeriesRows, zeta0: np.ndarray, errors: dict) -> np.nda
             ez = np.exp(z)
             outside = h.outside(ez)
             if outside.any():
-                _fail(errors, outside, lambda r: AnnulusDomainError(
-                    f"evaluation point outside the open annulus "
-                    f"({hats.inner[r]:.6g}, {hats.outer[r]:.6g})"), rows)
+                _fail(errors, outside, hats.domain_error, rows)
             if it < 50:
                 znew = z0 - h(ez)
             else:
@@ -566,22 +550,15 @@ def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> C
 
     if n_trunc is None:
         n_trunc = max(16, 2 * psi.hat.truncation)
-    m = max(4 * n_trunc, 8)
-    theta = 2.0 * np.pi * np.arange(m) / m
-    errors: dict = {}
-    zeta = _solve_log_lift(SeriesRows.of([psi.hat]), ((1j * theta) - 1j * psi.phase)[None],
-                           errors)
-    _raise_first(errors)
-    inv = expand(np.exp(zeta[0]), n_trunc, out_width)
+    unit = unit_circle(max(4 * n_trunc, 8))
+    inv = expand(apply_inverse(psi, unit), n_trunc, out_width)
 
     # certify strictly inside the out annulus so psi's image stays evaluable
     rho = (out_width - majorant_norm(psi.hat, out_width)) * (1.0 - 1e-9)
-    radii = [1.0] if rho <= 0 else [np.exp(-rho), 1.0, np.exp(rho)]
-    res = 0.0
-    for r in radii:
-        w = r * unit_circle(m)
-        res = max(res, float(np.max(np.abs(eval_diffeo(inv, eval_diffeo(psi, w)) - w))))
-    if res > 1e-9:
+    radii = np.array([1.0] if rho <= 0 else [np.exp(-rho), 1.0, np.exp(rho)])
+    w = (radii[:, None] * unit).ravel()
+    res = float(np.max(np.abs(eval_diffeo(inv, eval_diffeo(psi, w)) - w)))
+    if not res <= 1e-9:
         raise InversionDivergedError(
             f"identity residual of psi^-1 o psi is {res:.3e} > 1e-9"
         )

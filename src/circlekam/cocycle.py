@@ -13,6 +13,7 @@ power law ``C0 |n|^(mu-1)``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -442,12 +443,20 @@ def amplification_spectrum(bundle: UnitaryFlatBundle, n_max: int) -> dict:
     return dict(zip(modes.tolist(), norms.repeat(2).tolist()))
 
 
+def power_or_inf(x: float, p: float) -> float:
+    """``x ** p`` in Python floats, inf where the power overflows."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 @functools.lru_cache(maxsize=8)
 def _mode_powers(n_max: int, exponent: float) -> np.ndarray:
     """``n ** exponent`` for n = 1..n_max, read-only. Each entry is Python's
     float power: numpy's vectorised power differs from it in the last bit
     for some non-integer exponents."""
-    out = np.array([n ** exponent for n in range(1, n_max + 1)])
+    out = np.array([power_or_inf(n, exponent) for n in range(1, n_max + 1)])
     out.setflags(write=False)
     return out
 
@@ -455,8 +464,8 @@ def _mode_powers(n_max: int, exponent: float) -> np.ndarray:
 def diophantine_ratios(modes, amplifications, mu: float) -> np.ndarray:
     """``A_n / |n|^(mu-1)`` per mode: the smallest C0 of the power law
     ``A_n <= C0 |n|^(mu-1)`` is their maximum."""
-    if mu <= 1:
-        raise ValidationError(f"mu must exceed 1, got {mu}")
+    if not 1 < mu < np.inf:
+        raise ValidationError(f"mu must be finite and exceed 1, got {mu}")
     n_abs = np.abs(np.asarray(modes, dtype=int))
     if np.any(n_abs == 0):
         raise ValidationError("mode n must be nonzero")

@@ -57,6 +57,7 @@ from .cocycle import (
     UnitaryFlatBundle,
     amplification_norms,
     diophantine_ratios,
+    power_or_inf,
     solve_modes,
 )
 from .errors import (
@@ -124,6 +125,14 @@ class KamParams:
             raise ValidationError(f"c0 must be positive, got {self.c0}")
         if self.n_trunc < 1 or self.max_iter < 1 or not (self.tol > 0):
             raise ValidationError("n_trunc, max_iter must be >= 1 and tol > 0")
+        # a sigma0 or mu whose schedule constants leave float range is
+        # rejected here, before a run meets the overflow
+        try:
+            _ = self.delta0 if self.c0 is not None else self.exp_factor
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValidationError(
+                f"schedule constants out of float range at sigma0={self.sigma0}, "
+                f"mu={self.mu}: {exc}") from exc
 
     @property
     def ratio(self) -> float:
@@ -142,6 +151,12 @@ class KamParams:
         return cls.eta0_bound(sigma0, mu) / 2.0
 
     @property
+    def exp_factor(self) -> float:
+        """``1 + e^sigma0``: the factor of the delta recursion, and the
+        inverse of the derivative bound on the changes."""
+        return 1.0 + math.exp(self.sigma0)
+
+    @property
     def c1(self) -> float:
         if self.c0 is None:
             raise ValidationError("c0 is unset; fit it from the spectrum first")
@@ -158,7 +173,7 @@ class KamParams:
         return min(
             self.eta0,
             self.eta0 ** (self.mu + 1.0)
-            / ((1.0 + math.exp(self.sigma0)) * self.c1 * self.mu),
+            / (self.exp_factor * self.c1 * self.mu),
         )
 
     @property
@@ -174,10 +189,31 @@ class KamParams:
     @classmethod
     def from_json_dict(cls, doc: dict, sigma0: float | None = None) -> "KamParams":
         """Parse a params document; a key the document omits takes the
-        field default, and ``sigma0`` stands in for a missing "sigma0"."""
-        given = {_PARAM_KEYS[key][0]: _PARAM_KEYS[key][1](value)
-                 for key, value in doc.items() if key in _PARAM_KEYS}
+        field default, and ``sigma0`` stands in for a missing "sigma0". A
+        value of the wrong type raises :class:`SchemaError`."""
+        given = {}
+        for key, value in doc.items():
+            if key in _PARAM_KEYS:
+                name, convert = _PARAM_KEYS[key]
+                try:
+                    given[name] = convert(value)
+                except (TypeError, ValueError) as exc:
+                    raise SchemaError(f"params {key}: {exc}") from exc
         return cls(**{"sigma0": sigma0, **given})
+
+
+def _integral(value) -> int:
+    """A JSON number with an integral value; a boolean is not one."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise TypeError(f"expected an integral number, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
 # params document key -> (KamParams field, conversion of the document value)
@@ -186,10 +222,10 @@ _PARAM_KEYS = {
     "mu": ("mu", float),
     "sigma0": ("sigma0", float),
     "eta0": ("eta0", float),
-    "N": ("n_trunc", int),
+    "N": ("n_trunc", _integral),
     "tol": ("tol", float),
-    "max_iter": ("max_iter", int),
-    "strict_schedule": ("strict_schedule", bool),
+    "max_iter": ("max_iter", _integral),
+    "strict_schedule": ("strict_schedule", _boolean),
 }
 
 
@@ -202,13 +238,17 @@ def _levels(params: KamParams, m: int = 0):
     r = params.ratio
     sigma = params.sigma0
     delta = params.delta0
-    factor = (1.0 + math.exp(params.sigma0)) * params.c1
+    factor = params.exp_factor * params.c1
     for k in itertools.count():
         eta = params.eta0 * r**k
         if k >= m:
             yield sigma, eta, delta
         sigma = sigma - 4.0 * eta
-        delta = factor * delta**2 / eta ** (params.mu + 1.0)
+        try:
+            delta = factor * delta**2 / eta ** (params.mu + 1.0)
+        except (OverflowError, ZeroDivisionError):
+            # past float range: every gate against this delta fails closed
+            delta = math.inf
 
 
 def schedule(params: KamParams, m: int) -> tuple[float, float, float]:
@@ -253,7 +293,6 @@ class CertRecord:
     passed: bool
     lhs: float
     rhs: float
-    detail: str = ""
 
 
 @dataclass
@@ -266,11 +305,15 @@ class StepReport:
     symmetry_projection: float = 0.0
     max_hat_empirical: float = 0.0   # sampled sup norm, diagnosis only
     modes_solved: int = 0
-    violations: list = field(default_factory=list)
     # wall time in ms of the phases gate (entry gate, sup-norm report and
     # decay audit), solve, certificates and renewal
     phase_ms: dict = field(default_factory=dict)
     strict: bool = False   # a failed certificate raises (strict_schedule)
+
+    @property
+    def violations(self) -> list:
+        """Names of the failed certificates, in the order they were checked."""
+        return [name for name, r in self.certificates.items() if not r.passed]
 
     def ledger(self) -> dict:
         """Every certificate as ``{name: {lhs, rhs, passed}}``."""
@@ -310,17 +353,14 @@ def _certify(report: StepReport, name: str, lhs, rhs, strict_ineq: bool = False)
     passes only when both sides are finite and the inequality holds. A
     failure under ``report.strict`` raises the row's exception."""
     lhs, rhs = float(lhs), float(rhs)
-    exc_cls, detail = CERTIFICATES[name]
     holds = lhs < rhs if strict_ineq else lhs <= rhs
     passed = math.isfinite(lhs) and math.isfinite(rhs) and holds
-    report.certificates[name] = CertRecord(name, passed, lhs, rhs, detail)
-    if passed:
-        return
-    report.violations.append(name)
-    if report.strict:
+    report.certificates[name] = CertRecord(name, passed, lhs, rhs)
+    if not passed and report.strict:
         op = "<" if strict_ineq else "<="
-        raise exc_cls(name, f"{name}: {lhs:.6e} !{op} {rhs:.6e} at step {report.m}",
-                      step=report.m, lhs=lhs, rhs=rhs)
+        raise CERTIFICATES[name][0](
+            name, f"{name}: {lhs:.6e} !{op} {rhs:.6e} at step {report.m}",
+            step=report.m, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -332,9 +372,15 @@ class TraceRow:
     max_hat_norm: float
     worst_mode_residual: float
     tail_mass: float
-    # the step's {name: {lhs, rhs, passed}}, empty for rows without a step;
-    # written to trace.json only, so trace.csv keeps its columns
+    # the rest of the step's ledger, empty or 0 for rows without a step:
+    # {name: {lhs, rhs, passed}}, the multiplier phase drift, symmetry
+    # projection, modes solved and sampled sup norm; written to trace.json
+    # only, so trace.csv keeps its columns
     certificates: dict
+    phase_drift: float
+    symmetry_projection: float
+    modes_solved: int
+    max_hat_empirical: float
     wall_ms: float
 
 
@@ -344,7 +390,6 @@ CSV_HEADER = "m,sigma,eta,delta,max_hat_norm,worst_mode_residual,tail_mass,wall_
 @dataclass
 class IterationTrace:
     rows: list = field(default_factory=list)
-    violations: list = field(default_factory=list)  # (m, certificate) pairs
     # per row: wall times in ms of the step's phases (StepReport.phase_ms
     # plus the conjugacy composition), empty for rows without a step;
     # written to trace.json only, so trace.csv keeps its columns
@@ -352,6 +397,13 @@ class IterationTrace:
     # the run's entry report, holding its initial_norm_gate record; its
     # ledger is written to trace.json only, as a top-level key
     entry: StepReport = field(default_factory=lambda: StepReport(m=0))
+
+    @property
+    def violations(self) -> list:
+        """The failed certificates of the rows' ledgers as (m, name) pairs,
+        step by step in the order they were checked."""
+        return [(row.m, name) for row in self.rows
+                for name, cert in row.certificates.items() if not cert["passed"]]
 
     def append(self, row: TraceRow, phase_ms: dict | None = None):
         self.rows.append(row)
@@ -484,7 +536,6 @@ def kam_step(
     edges = system.nerve.edges
     hats = [f.hat for f in system.transitions]
     count = len(hats)
-    has_modes = np.array([h.truncation > 0 for h in hats], dtype=bool)
     clock = time.perf_counter()
 
     def lap(phase: str) -> None:
@@ -497,18 +548,16 @@ def kam_step(
     # in the same block; the sampled sup norm rides along in the report but
     # never drives a comparison
     maj = majorants(hats + hats, np.repeat([sigma_m, sigma_m - 3.0 * eta_m], count))
-    entry, nest_maps = maj[:count], np.where(has_modes, maj[count:], 0.0)
+    entry, nest_maps = maj[:count], maj[count:]
     max_maj = float(np.max(entry, initial=0.0))
-    sampled = [h for h in hats if h.truncation]
-    degree = max((h.degree for h in sampled), default=0)
+    degree = max((h.degree for h in hats), default=0)
     report.max_hat_empirical = float(np.max(
-        empirical_sup_norms(sampled, sigma_m * (1.0 - 1e-9), max(2 * degree + 1, 256)),
+        empirical_sup_norms(hats, sigma_m * (1.0 - 1e-9), max(2 * degree + 1, 256)),
         initial=0.0))
     _certify(report, "hat_norm_below_delta", max_maj, delta_m, strict_ineq=True)
 
     # coefficient decay audit (with the majorant itself as the norm bound)
-    decay_failures = sum(not audit.passed
-                         for audit in decay_checks(sampled, entry[has_modes]))
+    decay_failures = sum(not audit.passed for audit in decay_checks(hats, entry))
     _certify(report, "coefficient_decay", decay_failures, 0.0)
     lap("gate")
 
@@ -530,14 +579,14 @@ def kam_step(
 
     # norm power law of the changes on shrunk strips, bound by the (chart,
     # nu) pair of largest ratio (argmax picks a NaN first)
-    rhs = np.array([params.c1 * max(max_maj, 1e-300) * lam ** (-params.mu)
+    rhs = np.array([params.c1 * max(max_maj, 1e-300) * power_or_inf(lam, -params.mu)
                     for lam in lams])
     worst = np.argmax(power / rhs)
     _certify(report, "change_norm_power_law", power.flat[worst], rhs[worst % len(lams)])
 
     # derivative bound: contraction margin for inversion and injectivity
     _certify(report, "change_derivative_bound", np.max(cmaj[power.size:], initial=0.0),
-             1.0 / (1.0 + math.exp(params.sigma0)))
+             1.0 / params.exp_factor)
 
     # annulus nesting that makes the renewed transitions well defined: the
     # changes at sigma_m - 4 eta_m and sigma_m - eta_m, the transitions at
@@ -589,7 +638,10 @@ class Conjugacy:
     def residual(self, initial: TransitionSystem, samples: int = 128) -> float:
         """Largest ``|charts[k](t_e u) - f_e(charts[j](u))|`` over the edges
         and ``samples`` unit-circle points; NaN if any value is NaN, so a
-        comparison with the tolerance fails."""
+        comparison with the tolerance fails. ``samples`` must be at least 1:
+        no points would check nothing."""
+        if samples < 1:
+            raise ValidationError(f"samples must be at least 1, got {samples}")
         u = unit_circle(samples)
         edges = initial.nerve.edges
         turned = np.exp(1j * np.array(self.linear_cocycle.phases))[:, None] * u
@@ -669,7 +721,8 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     max_maj = trace.entry.certificates["initial_norm_gate"].lhs
     for m, (sigma_m, eta_m, delta_m) in enumerate(_levels(params)):
         if max_maj < params.tol or m == params.max_iter:
-            trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj, 0.0, 0.0, {}, 0.0))
+            trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj, 0.0, 0.0, {},
+                                  0.0, 0.0, 0, 0.0, 0.0))
             converged = max_maj < params.tol
             steps = m
             break
@@ -693,9 +746,9 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         phase_ms = dict(report.phase_ms, compose=(t1 - t_compose) * 1000.0)
         trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj,
                               report.worst_mode_residual, report.tail_mass,
-                              report.ledger(), (t1 - t0) * 1000.0), phase_ms)
-        for cert in report.violations:
-            trace.violations.append((m, cert))
+                              report.ledger(), report.phase_drift,
+                              report.symmetry_projection, report.modes_solved,
+                              report.max_hat_empirical, (t1 - t0) * 1000.0), phase_ms)
         max_maj = report.certificates["contraction_claim"].lhs
 
     conj = Conjugacy(

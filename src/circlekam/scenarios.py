@@ -35,8 +35,14 @@ from .series import LaurentSeries
 
 TWO_PI = 2.0 * np.pi
 
-# What ``circlekam run`` writes when a scenario does not list its outputs.
+# What ``circlekam run`` can write, and writes when a scenario does not list
+# its outputs.
 OUTPUTS = ("trace", "conjugacy", "diagnostics")
+
+# Unit-circle samples of the extraction residuals, and the largest chart
+# collapse residual :func:`extract_simultaneous` accepts.
+SIMULTANEOUS_SAMPLES = 128
+COLLAPSE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,11 @@ class Scenario:
             nerve = Nerve(charts, tuple(edges),
                           tuple(tuple(t) for t in doc.get("triples", [])))
             params = KamParams.from_json_dict(doc.get("params", {}), sigma0=width)
-            outputs = tuple(doc.get("outputs", OUTPUTS))
+            outputs = doc.get("outputs", list(OUTPUTS))
+            if not (isinstance(outputs, list)
+                    and all(isinstance(o, str) and o in OUTPUTS for o in outputs)):
+                raise SchemaError(f"outputs must be a list of names from {list(OUTPUTS)}, "
+                                  f"got {outputs!r}")
         except KeyError as exc:
             raise SchemaError(f"scenario document missing field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
@@ -106,7 +116,7 @@ class Scenario:
                 f"params sigma0 {params.sigma0} disagrees with system width {width}"
             )
         return cls(name=str(doc.get("name", "scenario")), system=system,
-                   params=params, outputs=outputs)
+                   params=params, outputs=tuple(outputs))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2,
@@ -213,19 +223,15 @@ class SimultaneousResult:
         }
 
 
-def extract_simultaneous(
-    conj: Conjugacy,
-    scenario: Scenario,
-    samples: int = 128,
-    collapse_tol: float = 1e-8,
-) -> SimultaneousResult:
+def extract_simultaneous(conj: Conjugacy, scenario: Scenario) -> SimultaneousResult:
     """Collapse a genus-2 conjugacy to the single common conjugator psi0.
 
     The minus edges carry identities, so the converged coordinate changes of
     all three charts must agree; their disagreement is the collapse residual
-    and exceeding ``collapse_tol`` raises. The returned residuals certify
-    ``psi0^{-1} o f_j o psi0 = rotation`` on sampled unit-circle points. A
-    NaN or infinite collapse or linearization residual raises too.
+    and exceeding :data:`COLLAPSE_TOL` raises. The returned residuals certify
+    ``psi0^{-1} o f_j o psi0 = rotation`` on :data:`SIMULTANEOUS_SAMPLES`
+    unit-circle points. A NaN or infinite collapse or linearization residual
+    raises too.
     """
     nerve = scenario.system.nerve
     if len(nerve.charts) != 3:
@@ -238,13 +244,13 @@ def extract_simultaneous(
     if len(plus_edges) != 2:
         raise ValidationError("not a genus-2 scenario: expected two plus edges")
 
-    u = unit_circle(samples)
+    u = unit_circle(SIMULTANEOUS_SAMPLES)
     psi0 = conj.charts[base]
     vals = eval_diffeos([conj.charts[c] for c in nerve.charts], u)
     collapse = float(np.max(np.abs(vals[1:] - vals[0]), initial=0.0))
-    if not collapse <= collapse_tol:
+    if not collapse <= COLLAPSE_TOL:
         raise ExtractionError(
-            f"chart collapse residual {collapse:.3e} exceeds {collapse_tol:.0e}; "
+            f"chart collapse residual {collapse:.3e} exceeds {COLLAPSE_TOL:.0e}; "
             "minus-edge relation does not hold"
         )
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -153,15 +153,15 @@ class LaurentSeries:
         try:
             n_t = int(doc["N"])
             width = float(doc["sigma"])
-            entries = doc["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
+            coeffs = {}
+            for entry in doc["coeffs"]:
+                if len(entry) != 3:
+                    raise SchemaError(f"bad coefficient entry {entry!r}")
+                n, re, im = entry
+                coeffs[int(n)] = complex(float(re), float(im))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # an infinite index or truncation overflows int()
             raise SchemaError(f"bad Laurent series document: {exc}") from exc
-        coeffs = {}
-        for entry in entries:
-            if len(entry) != 3:
-                raise SchemaError(f"bad coefficient entry {entry!r}")
-            n, re, im = entry
-            coeffs[int(n)] = complex(float(re), float(im))
         return cls.from_coeffs(coeffs, width, n_trunc=n_t)
 
 
@@ -207,10 +207,17 @@ class SeriesRows:
 
     def outside(self, w: np.ndarray) -> np.ndarray:
         """Per row: some point of ``w[r]`` lies outside the open annulus
-        ``(e^{-width}, e^{width})`` of the row (a NaN point is not)."""
+        ``(e^{-width}, e^{width})`` of the row (a NaN point is not, nor is
+        an empty set of points)."""
         r = np.abs(w)
-        return ((np.fmin.reduce(r, axis=-1) <= self.inner)
-                | (np.fmax.reduce(r, axis=-1) >= self.outer))
+        return ((np.fmin.reduce(r, axis=-1, initial=np.inf) <= self.inner)
+                | (np.fmax.reduce(r, axis=-1, initial=0.0) >= self.outer))
+
+    def domain_error(self, r: int) -> AnnulusDomainError:
+        """The error of row r having a point :meth:`outside` its annulus."""
+        return AnnulusDomainError(
+            f"evaluation point outside the open annulus ({self.inner[r]:.6g}, "
+            f"{self.outer[r]:.6g})")
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         """Row r evaluated at the points ``w[r]`` (``w`` of shape (R, M)), or
@@ -259,15 +266,12 @@ def eval_series(s: LaurentSeries, w: complex | np.ndarray) -> complex | np.ndarr
     2N+1 coefficients.
     """
     wa = np.asarray(w, dtype=complex)
-    r = np.abs(wa)
-    lo, hi = np.exp(-s.width), np.exp(s.width)
-    if np.any(r <= lo) or np.any(r >= hi):
-        raise AnnulusDomainError(
-            f"evaluation point outside the open annulus ({lo:.6g}, {hi:.6g})"
-        )
+    rows = s.rows
+    if rows.outside(wa.reshape(1, -1))[0]:
+        raise rows.domain_error(0)
     if wa.ndim == 0:
-        return complex(SeriesRows.of([s])(wa))
-    return SeriesRows.of([s])(wa.reshape(1, -1)).reshape(wa.shape)
+        return complex(rows(wa))
+    return rows(wa.reshape(1, -1)).reshape(wa.shape)
 
 
 def _by_truncation(hats: Sequence[LaurentSeries]):
@@ -321,6 +325,17 @@ def majorant_norm(s: LaurentSeries, sigma_prime: float) -> float:
     return float(majorants([s], sigma_prime)[0])
 
 
+@lru_cache(maxsize=32)
+def unit_circle(samples: int) -> np.ndarray:
+    """Equispaced points ``e^{2 pi i k / M}``, k = 0..M-1.
+
+    One read-only array per M is computed once and shared by every caller.
+    """
+    points = np.exp(2j * np.pi * np.arange(samples) / samples)
+    points.setflags(write=False)
+    return points
+
+
 def empirical_sup_norms(hats: Sequence[LaurentSeries], sigma_prime: float,
                         samples: int) -> np.ndarray:
     """Per hat: max of ``|eval|`` over ``samples`` equispaced points of each
@@ -347,10 +362,8 @@ def empirical_sup_norms(hats: Sequence[LaurentSeries], sigma_prime: float,
             f"need at least 2d+1={2 * degree + 1} samples for effective "
             f"degree d={degree}, got {samples}"
         )
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    unit = np.exp(1j * theta)
     radii = np.array([np.exp(-sigma_prime), 1.0, np.exp(sigma_prime)])
-    vals = SeriesRows.of(hats)((radii[:, None] * unit).ravel())
+    vals = SeriesRows.of(hats)((radii[:, None] * unit_circle(samples)).ravel())
     return np.max(np.abs(vals), axis=-1, initial=0.0)
 
 
@@ -396,43 +409,13 @@ def band_coeffs(spectrum: np.ndarray, n_trunc: int) -> np.ndarray:
     return spectrum[..., np.arange(-n_trunc, n_trunc + 1) % spectrum.shape[-1]]
 
 
-class _IndexFlags(Mapping):
-    """Read-only mapping from coefficient index to a flag, built from the
-    audit's arrays the first time an entry is read."""
-
-    def __init__(self, indices: np.ndarray, flags: np.ndarray):
-        self._arrays = (indices, flags)
-
-    @cached_property
-    def _dict(self) -> dict:
-        indices, flags = self._arrays
-        return dict(zip(indices.tolist(), flags.tolist()))
-
-    def __getitem__(self, n):
-        return self._dict[n]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self):
-        return len(self._arrays[0])
-
-    def __repr__(self):
-        return repr(self._dict)
-
-
 @dataclass(frozen=True)
 class DecayReport:
-    """Outcome of a coefficient-decay audit against a sup-norm bound.
-
-    ``per_index_ok`` maps each index n != 0 of the truncation to whether
-    ``|c_n|`` obeys the bound. :func:`decay_checks` fills it lazily: the
-    audit itself is array code, and the per-index dict is built only when
-    an entry of ``per_index_ok`` is read.
-    """
+    """Outcome of a coefficient-decay audit against a sup-norm bound: the
+    verdict, and the lowest index of largest positive excess over the bound
+    with that excess (None and 0.0 when no index has one)."""
 
     norm_sigma: float
-    per_index_ok: Mapping = field(default_factory=dict)
     passed: bool = True
     worst_index: int | None = None
     worst_excess: float = 0.0
@@ -456,43 +439,36 @@ class DecayReport:
 def decay_checks(
     hats: Sequence[LaurentSeries], norms, slack: float = 1e-12
 ) -> list:
-    """Check ``|c_n| <= norm e^{-|n| width}`` index by index for every hat
-    against its norm bound, one array pass per truncation; one
-    :class:`DecayReport` per hat.
+    """Check ``|c_n| <= norm e^{-|n| width}`` at the nonzero coefficients,
+    n != 0, of every hat against its norm bound, one array pass per hat;
+    one :class:`DecayReport` per hat.
 
     A norm must be a certified sup-norm bound for the underlying function
     at the series' own width; any analytic function obeys this decay
     (Cauchy estimates on the bounding circles), so a violation flags either
-    a bad norm bound or a non-analytic artifact.
+    a bad norm bound or a non-analytic artifact. A zero coefficient meets
+    any finite, nonnegative bound; a NaN, infinite or negative norm bounds
+    nothing and fails every hat of truncation 1 or more.
     """
-    norms = np.broadcast_to(np.asarray(norms, dtype=float), (len(hats),))
-    out = [None] * len(hats)
-    for n_t, rows in _by_truncation(hats):
-        block = np.array([hats[i].coeffs for i in rows])
-        n = np.arange(-n_t, n_t + 1)
-        keep = n != 0
-        n, c = n[keep], block[:, keep]
-        norm = norms[rows][:, None]
-        # one exponential per distinct width: the rows of a step share theirs
-        widths, row_width = np.unique([hats[i].width for i in rows], return_inverse=True)
-        decay = np.exp(-np.abs(n) * widths[:, None])[row_width]
-        # hypot is the modulus Python's abs(complex) computes; numpy's complex
-        # absolute may differ from it in the last bit
-        excess = np.hypot(c.real, c.imag) - norm * decay
-        good = excess <= slack * np.fmax(norm, 1.0)
-        # the worst index is the lowest failing n of largest positive excess;
-        # a NaN excess fails but is never the worst
-        ranked = np.where(~good & (excess > 0.0), excess, -np.inf)
-        worst = np.argmax(ranked, axis=-1) if n.size else np.zeros(len(rows), int)
-        for j, i in enumerate(rows):
-            hit = n.size > 0 and ranked[j, worst[j]] > -np.inf
-            out[i] = DecayReport(
-                norm_sigma=float(norms[i]),
-                per_index_ok=_IndexFlags(n, good[j]),
-                passed=bool(np.all(good[j])),
-                worst_index=int(n[worst[j]]) if hit else None,
-                worst_excess=float(excess[j, worst[j]]) if hit else 0.0,
-            )
+    out = []
+    norms = np.broadcast_to(np.asarray(norms, dtype=float), (len(hats),)).tolist()
+    for s, bound in zip(hats, norms):
+        if not 0.0 <= bound < np.inf:
+            out.append(DecayReport(bound, passed=s.truncation == 0))
+            continue
+        n = s.support[s.support != 0]
+        c = s.coeffs[n + s.truncation]
+        # hypot is the modulus Python's abs(complex) computes; numpy's
+        # complex absolute may differ from it in the last bit
+        excess = np.hypot(c.real, c.imag) - bound * np.exp(-np.abs(n) * s.width)
+        good = excess <= slack * max(bound, 1.0)
+        # the worst index is the lowest failing n of largest positive
+        # excess; a NaN excess fails but is never the worst
+        over = np.flatnonzero(~good & (excess > 0.0))
+        worst = over[np.argmax(excess[over])] if over.size else None
+        out.append(DecayReport(bound, bool(np.all(good)),
+                               None if worst is None else int(n[worst]),
+                               0.0 if worst is None else float(excess[worst])))
     return out
 
 

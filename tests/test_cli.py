@@ -174,10 +174,32 @@ def _break_coefficient(doc):
     doc["edges"][0]["hat"]["coeffs"][0][1] = float("nan")
 
 
+def _null_strict_schedule(doc):
+    doc["params"]["strict_schedule"] = None
+
+
+def _text_strict_schedule(doc):
+    doc["params"]["strict_schedule"] = "false"
+
+
+def _fractional_truncation(doc):
+    doc["params"]["N"] = 64.7
+
+
+def _boolean_truncation(doc):
+    doc["params"]["N"] = True
+
+
+def _fractional_max_iter(doc):
+    doc["params"]["max_iter"] = 2.9
+
+
 class TestMalformedScenario:
     @pytest.mark.parametrize("command", ["run", "rotnum"])
     @pytest.mark.parametrize("breaker", [_break_eta0, _break_phase, _break_edges,
-                                         _break_coefficient])
+                                         _break_coefficient, _null_strict_schedule,
+                                         _text_strict_schedule, _fractional_truncation,
+                                         _boolean_truncation, _fractional_max_iter])
     def test_exits_2_with_report(self, flagship_scenario, tmp_path, capsys,
                                  command, breaker):
         doc = json.loads(flagship_scenario.read_text())
@@ -321,6 +343,91 @@ def genus2_run(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(scenario), "--out", str(out)]) == 0
     return scenario, out, capsys.readouterr().out
+
+
+@pytest.fixture
+def pair_scenario(tmp_path):
+    """A genus-2 N=64 scenario file with a hat of size 1e-9 (strict)."""
+    psi = CircleDiffeo(0.0, LaurentSeries.from_coeffs(
+        {1: 1e-9 * (1 + 0.7j), -1: -1e-9 * (1 - 0.7j)}, width=1.2))
+    sc = build_genus2(conjugated_rotation(psi, TWO_PI * GOLDEN, 64, 1.0),
+                      conjugated_rotation(psi, TWO_PI * SILVER, 64, 1.0),
+                      1.0, eta0=0.05)
+    path = tmp_path / "pair.json"
+    sc.save(path)
+    return path
+
+
+# sigma0 and mu of each case; every width of the scenario is set to sigma0
+FLOAT_RANGE = {
+    "sigma0=1e-17": (1e-17, 2.0),         # 1 - e^-sigma0 rounds to 0 in C1
+    "sigma0=710": (710.0, 2.0),           # e^sigma0 overflows in delta0
+    "mu=200": (1.0, 200.0),               # Gamma(mu) overflows in C1
+    "sigma0=1e-3,mu=120": (1e-3, 120.0),  # (1 - e^-sigma0)^mu underflows to 0
+}
+
+
+class TestScheduleFloatRange:
+    """Schedule constants past float range reject the params or fail a
+    certificate closed; each case below ended in a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "gate"])
+    @pytest.mark.parametrize("case", list(FLOAT_RANGE))
+    def test_exits_2_or_3_with_strict_json(self, pair_scenario, tmp_path, capsys,
+                                           command, case):
+        sigma0, mu = FLOAT_RANGE[case]
+        doc = json.loads(pair_scenario.read_text())
+        doc["width"] = sigma0
+        for edge in doc["edges"]:
+            edge["hat"]["sigma"] = sigma0
+        # the default eta0 of the new sigma0 and mu keeps the params admissible
+        del doc["params"]["eta0"]
+        doc["params"].update(sigma0=sigma0, mu=mu)
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) in (2, 3)
+        strict_json(capsys.readouterr().out)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_without_samples_exits_2(self, genus2_run, capsys, samples):
+        # no sample points checked nothing and reported "verified"
+        scenario, out, _ = genus2_run
+        assert main(["verify", str(out / "conjugacy.json"), str(scenario),
+                     f"--samples={samples}"]) == 2
+        assert strict_json(capsys.readouterr().out)["outcome"] == "validation_error"
+
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_dioph_non_finite_mu_exits_2(self, pair_scenario, capsys, mu):
+        assert main(["dioph", str(pair_scenario), "--mu", mu]) == 2
+        assert strict_json(capsys.readouterr().out)["outcome"] == "validation_error"
+
+    @pytest.mark.parametrize("outputs", ["trace", ["trace", "conjugacy", "diagnostic"],
+                                         [None], {"trace": True}])
+    def test_outputs_must_name_known_files(self, pair_scenario, tmp_path, capsys,
+                                           outputs):
+        # a string was split into characters and wrote no file; an unknown
+        # name was dropped silently
+        doc = json.loads(pair_scenario.read_text())
+        doc["outputs"] = outputs
+        path = tmp_path / "outputs.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error" and "outputs" in report["message"]
+
+    def test_listed_outputs_are_written(self, pair_scenario, tmp_path, capsys):
+        doc = json.loads(pair_scenario.read_text())
+        doc["outputs"] = ["conjugacy"]
+        path = tmp_path / "outputs.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["conjugacy.json"]
 
 
 class TestStrictJson:

@@ -264,6 +264,17 @@ class TestDiophantineFit:
         assert fit.superpolynomial
         assert abs(fit.argmax_mode) == 64
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), 1.0, 0.5])
+    def test_mu_must_be_finite_above_one(self, mu):
+        # a NaN mu passed the old mu <= 1 test and fitted C0 = NaN
+        with pytest.raises(ValidationError):
+            fit_diophantine({1: 1.0, 2: 1.0}, mu)
+
+    def test_power_past_float_range_is_inf(self):
+        # 1000^199 overflowed Python's float power with an OverflowError
+        fit = fit_diophantine({1: 2.0, 1000: 1.0}, mu=200.0)
+        assert fit.c0 == 2.0 and fit.argmax_mode == 1 and all(fit.per_mode_pass.values())
+
 
 class TestTransitionSystem:
     def test_width_mismatch_rejected(self):

@@ -11,6 +11,7 @@ from circlekam import (
     LaurentSeries,
     ResonantModeError,
     ScheduleViolationError,
+    SchemaError,
     TruncationError,
     ValidationError,
     alpha_vs_rotation,
@@ -83,6 +84,38 @@ class TestParams:
         assert build_single_chart(GOLDEN, hat, sigma0, mu=mu).params == direct
         f = CircleDiffeo(TWO_PI * GOLDEN, hat)
         assert build_genus2(f, f, sigma0, mu=mu).params == direct
+
+    @pytest.mark.parametrize("key,value", [("strict_schedule", None),
+                                           ("strict_schedule", "false"),
+                                           ("N", 64.7), ("N", True), ("N", "64"),
+                                           ("max_iter", 2.9), ("max_iter", False)])
+    def test_params_document_types(self, key, value):
+        # bool() and int() once ran null as non-strict, "false" as strict,
+        # 64.7 as 64 and true as 1
+        with pytest.raises(SchemaError) as info:
+            KamParams.from_json_dict({key: value}, sigma0=1.0)
+        assert key in str(info.value)
+
+    def test_integral_numbers_and_booleans_accepted(self):
+        doc = {"N": 64.0, "max_iter": 3, "strict_schedule": False}
+        assert KamParams.from_json_dict(doc, sigma0=1.0) == KamParams(
+            1.0, n_trunc=64, max_iter=3, strict_schedule=False)
+
+    @pytest.mark.parametrize("sigma0,mu", [(1e-17, 2.0), (710.0, 2.0), (1.0, 200.0),
+                                           (1e-3, 120.0)])
+    def test_schedule_constants_past_float_range_rejected(self, sigma0, mu):
+        # a ZeroDivisionError or OverflowError once escaped from C1 or delta0
+        with pytest.raises(ValidationError):
+            KamParams(sigma0, mu=mu, c0=1.0)
+        if sigma0 == 710.0:
+            with pytest.raises(ValidationError):
+                KamParams(sigma0, mu=mu)
+
+    def test_far_level_past_float_range_fails_closed(self):
+        # eta^(mu+1) underflows to 0 at level 2000: delta is no number to
+        # compare against, not a ZeroDivisionError
+        p = KamParams(sigma0=1.0, eta0=0.05, c0=0.5, mu=2.0)
+        assert not math.isfinite(schedule(p, 2000)[2])
 
 
 class TestSchedule:
@@ -350,7 +383,8 @@ class TestRun:
         sc = golden_scenario(1e-4, strict=False)
         res = run(sc.system, sc.params)
         lines = res.trace.to_csv().strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == (
+            "m,sigma,eta,delta,max_hat_norm,worst_mode_residual,tail_mass,wall_ms")
         assert len(lines) == len(res.trace.rows) + 1
         assert all(len(line.split(",")) == 8 for line in lines[1:])
 
@@ -361,6 +395,14 @@ class TestRun:
         back = Conjugacy.from_json_dict(doc)
         assert back.final_width == res.conjugacy.final_width
         assert back.residual(sc.system) <= 1e-8
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_residual_needs_a_sample(self, samples):
+        # no sample point checked nothing: a residual of 0
+        sc = golden_scenario(1e-4, strict=False)
+        res = run(sc.system, sc.params)
+        with pytest.raises(ValidationError):
+            res.conjugacy.residual(sc.system, samples=samples)
 
 
 class TestAlphaVsRotation:
@@ -485,6 +527,24 @@ class TestCertificateLedger:
         failed = {(row["m"], name) for row in rows
                   for name, cert in row["certificates"].items() if not cert["passed"]}
         assert failed == set(res.trace.violations)
+
+    def test_trace_rows_carry_the_rest_of_the_step_ledger(self):
+        # phase drift, symmetry projection, modes solved and the sampled sup
+        # norm, as kam_step reports them for the same levels; 0 on the row
+        # without a step
+        keys = ("phase_drift", "symmetry_projection", "modes_solved",
+                "max_hat_empirical")
+        sc = golden_scenario(1e-4, strict=False)
+        res = run(sc.system, sc.params)
+        rows = res.trace.to_json_dict()["rows"]
+        params = resolve_c0(sc.system, sc.params)
+        system = sc.system
+        for m, row in enumerate(rows[:-1]):
+            system, _, rep = kam_step(system, m, params)
+            assert {k: row[k] for k in keys} == {k: getattr(rep, k) for k in keys}
+            assert row["modes_solved"] > 0 and row["max_hat_empirical"] > 0
+        assert {k: rows[-1][k] for k in keys} == dict.fromkeys(keys, 0)
+        assert list(rows[0])[-2:] == ["wall_ms", "phase_ms"]
 
     def test_trace_json_records_the_entry_gate(self):
         # a non-strict run past the entry gate says so in trace.json, next to

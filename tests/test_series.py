@@ -17,7 +17,7 @@ from circlekam import (
     log_derivative_majorant,
     majorant_norm,
 )
-from circlekam.series import empirical_sup_norms
+from circlekam.series import SeriesRows, empirical_sup_norms
 
 from conftest import random_symmetric_hat
 
@@ -43,6 +43,17 @@ class TestEval:
             eval_series(s, 2.0)
         with pytest.raises(AnnulusDomainError):
             eval_series(s, 0.1)
+
+    def test_outside_is_empty_safe_and_names_the_row_annulus(self):
+        rows = SeriesRows.of([LaurentSeries.from_coeffs({1: 1.0}, width=0.5),
+                              LaurentSeries.from_coeffs({2: 1.0}, width=1.0)])
+        assert not rows.outside(np.zeros((2, 0), dtype=complex)).any()
+        assert rows.outside(np.array([[0.5], [0.5]])).tolist() == [True, False]
+        s = LaurentSeries.from_coeffs({1: 1.0}, width=0.5)
+        with pytest.raises(AnnulusDomainError) as info:
+            eval_series(s, 2.0)
+        assert str(info.value) == str(rows.domain_error(0)) == (
+            "evaluation point outside the open annulus (0.606531, 1.64872)")
 
     def test_vectorized_matches_scalar(self, rng):
         s = random_symmetric_hat(rng, width=1.0, scale=0.3)
@@ -199,6 +210,25 @@ class TestDecay:
         rep = decay_check(s, norm_sigma=1.0)
         assert not rep.passed
         assert abs(rep.worst_index) == n_t
+
+    def test_only_nonzero_coefficients_are_audited(self):
+        # zeros meet any finite, nonnegative bound, even at a tight one
+        s = LaurentSeries.from_coeffs({3: 0.5 * np.exp(-3.0), -3: -0.5 * np.exp(-3.0)},
+                                      1.0, n_trunc=40)
+        rep = decay_check(s, 0.5, slack=0.0)
+        assert rep.passed and rep.worst_index is None
+        assert not decay_check(s, 0.49, slack=0.0).passed
+
+    @pytest.mark.parametrize("norm", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_norm_that_bounds_nothing_fails(self, norm):
+        # a +inf or negative norm once passed or failed with N * width
+        for n_t in (1, 4, 800):
+            for coeffs in ({}, {1: 1e-9, -1: -1e-9}):
+                s = LaurentSeries.from_coeffs(coeffs, 1.0, n_trunc=n_t)
+                rep = decay_check(s, norm)
+                assert not rep.passed
+                assert (rep.worst_index, rep.worst_excess) == (None, 0.0)
+        assert decay_check(LaurentSeries.zero(1.0, 0), norm).passed
 
     def test_tail_mass_formula(self):
         s = LaurentSeries.zero(width=1.0, n_trunc=8)
