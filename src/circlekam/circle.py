@@ -31,6 +31,7 @@ from .errors import (
 from .series import (
     LaurentSeries,
     SeriesRows,
+    _real,
     band_coeffs,
     circle_spectrum,
     log_derivative_majorant,
@@ -96,7 +97,7 @@ class CircleDiffeo:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CircleDiffeo":
-        return cls(float(doc["phase"]), LaurentSeries.from_json_dict(doc["hat"]))
+        return cls(_real(doc["phase"]), LaurentSeries.from_json_dict(doc["hat"]))
 
 
 def symmetry_defect(hat: LaurentSeries) -> float:

@@ -27,7 +27,7 @@ from .errors import (
     CoboundaryError,
     ValidationError,
 )
-from .series import majorants
+from .series import _real, majorants
 
 TWO_PI = 2.0 * np.pi
 
@@ -193,7 +193,7 @@ class UnitaryFlatBundle:
             edges=tuple(Edge(e["from"], e["to"], e["label"]) for e in doc["edges"]),
             triples=tuple(tuple(t) for t in doc.get("triples", [])),
         )
-        return cls(nerve, tuple(float(e["phase"]) for e in doc["edges"]))
+        return cls(nerve, tuple(_real(e["phase"]) for e in doc["edges"]))
 
 
 @dataclass(frozen=True)

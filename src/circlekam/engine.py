@@ -69,6 +69,9 @@ from .errors import (
 )
 from .series import (
     LaurentSeries,
+    _boolean,
+    _integral,
+    _real,
     decay_checks,
     empirical_sup_norms,
     majorants,
@@ -202,28 +205,14 @@ class KamParams:
         return cls(**{"sigma0": sigma0, **given})
 
 
-def _integral(value) -> int:
-    """A JSON number with an integral value; a boolean is not one."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise TypeError(f"expected an integral number, got {value!r}")
-    return int(value)
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 # params document key -> (KamParams field, conversion of the document value)
 _PARAM_KEYS = {
-    "C0": ("c0", lambda v: None if v is None else float(v)),
-    "mu": ("mu", float),
-    "sigma0": ("sigma0", float),
-    "eta0": ("eta0", float),
+    "C0": ("c0", lambda v: None if v is None else _real(v)),
+    "mu": ("mu", _real),
+    "sigma0": ("sigma0", _real),
+    "eta0": ("eta0", _real),
     "N": ("n_trunc", _integral),
-    "tol": ("tol", float),
+    "tol": ("tol", _real),
     "max_iter": ("max_iter", _integral),
     "strict_schedule": ("strict_schedule", _boolean),
 }
@@ -297,16 +286,26 @@ class CertRecord:
 
 @dataclass
 class StepReport:
+    """One step of the iteration, and one row of the trace: the level's
+    schedule values, the certificate ledger and the step's measurements. The
+    row of the last level runs no step and keeps the defaults past
+    ``max_hat_norm``. A new per-step field is added here, once."""
+
     m: int
-    certificates: dict = field(default_factory=dict)
+    sigma: float = 0.0
+    eta: float = 0.0
+    delta: float = 0.0
+    max_hat_norm: float = 0.0        # certified hat majorant at width sigma
     worst_mode_residual: float = 0.0
     tail_mass: float = 0.0
+    certificates: dict = field(default_factory=dict)
     phase_drift: float = 0.0
     symmetry_projection: float = 0.0
-    max_hat_empirical: float = 0.0   # sampled sup norm, diagnosis only
     modes_solved: int = 0
+    max_hat_empirical: float = 0.0   # sampled sup norm, diagnosis only
+    wall_ms: float = 0.0
     # wall time in ms of the phases gate (entry gate, sup-norm report and
-    # decay audit), solve, certificates and renewal
+    # decay audit), solve, certificates, renewal and compose
     phase_ms: dict = field(default_factory=dict)
     strict: bool = False   # a failed certificate raises (strict_schedule)
 
@@ -319,6 +318,13 @@ class StepReport:
         """Every certificate as ``{name: {lhs, rhs, passed}}``."""
         return {name: {"lhs": r.lhs, "rhs": r.rhs, "passed": r.passed}
                 for name, r in self.certificates.items()}
+
+    def to_json_dict(self) -> dict:
+        """The trace.json row: every field in order, the certificates as
+        their ledger, ``strict`` left out."""
+        row = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+               if f.name != "strict"}
+        return dict(row, certificates=self.ledger())
 
 
 # The certified inequalities of the iteration, one row each: name ->
@@ -363,67 +369,32 @@ def _certify(report: StepReport, name: str, lhs, rhs, strict_ineq: bool = False)
             step=report.m, lhs=lhs, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    m: int
-    sigma: float
-    eta: float
-    delta: float
-    max_hat_norm: float
-    worst_mode_residual: float
-    tail_mass: float
-    # the rest of the step's ledger, empty or 0 for rows without a step:
-    # {name: {lhs, rhs, passed}}, the multiplier phase drift, symmetry
-    # projection, modes solved and sampled sup norm; written to trace.json
-    # only, so trace.csv keeps its columns
-    certificates: dict
-    phase_drift: float
-    symmetry_projection: float
-    modes_solved: int
-    max_hat_empirical: float
-    wall_ms: float
-
-
 CSV_HEADER = "m,sigma,eta,delta,max_hat_norm,worst_mode_residual,tail_mass,wall_ms"
 
 
 @dataclass
 class IterationTrace:
-    rows: list = field(default_factory=list)
-    # per row: wall times in ms of the step's phases (StepReport.phase_ms
-    # plus the conjugacy composition), empty for rows without a step;
-    # written to trace.json only, so trace.csv keeps its columns
-    phase_ms: list = field(default_factory=list)
+    rows: list = field(default_factory=list)   # one StepReport per level
     # the run's entry report, holding its initial_norm_gate record; its
     # ledger is written to trace.json only, as a top-level key
     entry: StepReport = field(default_factory=lambda: StepReport(m=0))
 
     @property
     def violations(self) -> list:
-        """The failed certificates of the rows' ledgers as (m, name) pairs,
-        step by step in the order they were checked."""
-        return [(row.m, name) for row in self.rows
-                for name, cert in row.certificates.items() if not cert["passed"]]
-
-    def append(self, row: TraceRow, phase_ms: dict | None = None):
-        self.rows.append(row)
-        self.phase_ms.append(phase_ms or {})
+        """The failed certificates of the rows as (m, name) pairs, step by
+        step in the order they were checked."""
+        return [(row.m, name) for row in self.rows for name in row.violations]
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.m},{r.sigma!r},{r.eta!r},{r.delta!r},{r.max_hat_norm!r},"
-                f"{r.worst_mode_residual!r},{r.tail_mass!r},{r.wall_ms!r}"
-            )
-        return "\n".join(lines) + "\n"
+        columns = CSV_HEADER.split(",")
+        rows = (",".join(repr(getattr(r, c)) for c in columns) for r in self.rows)
+        return "\n".join([CSV_HEADER, *rows]) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "conventions": dict(CONVENTIONS),
             **self.entry.ledger(),
-            "rows": [dict(dataclasses.asdict(r), phase_ms=p)
-                     for r, p in zip(self.rows, self.phase_ms)],
+            "rows": [r.to_json_dict() for r in self.rows],
             "violations": [
                 {"m": m, "certificate": cert} for m, cert in self.violations
             ],
@@ -531,7 +502,8 @@ def kam_step(
             f"{sigma_m:.6g} at step {m}"
         )
     _check_truncations(system, params.n_trunc)
-    report = StepReport(m=m, strict=params.strict_schedule)
+    report = StepReport(m=m, sigma=sigma_m, eta=eta_m, delta=delta_m,
+                        strict=params.strict_schedule)
 
     edges = system.nerve.edges
     hats = [f.hat for f in system.transitions]
@@ -549,7 +521,7 @@ def kam_step(
     # never drives a comparison
     maj = majorants(hats + hats, np.repeat([sigma_m, sigma_m - 3.0 * eta_m], count))
     entry, nest_maps = maj[:count], maj[count:]
-    max_maj = float(np.max(entry, initial=0.0))
+    report.max_hat_norm = max_maj = float(np.max(entry, initial=0.0))
     degree = max((h.degree for h in hats), default=0)
     report.max_hat_empirical = float(np.max(
         empirical_sup_norms(hats, sigma_m * (1.0 - 1e-9), max(2 * degree + 1, 256)),
@@ -668,7 +640,7 @@ class Conjugacy:
             charts = {
                 c: CircleDiffeo.from_json_dict(d) for c, d in doc["charts"].items()
             }
-            final_width = float(doc["final_width"])
+            final_width = _real(doc["final_width"])
         except KeyError as exc:
             raise SchemaError(f"conjugacy document missing field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
@@ -721,8 +693,7 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     max_maj = trace.entry.certificates["initial_norm_gate"].lhs
     for m, (sigma_m, eta_m, delta_m) in enumerate(_levels(params)):
         if max_maj < params.tol or m == params.max_iter:
-            trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj, 0.0, 0.0, {},
-                                  0.0, 0.0, 0, 0.0, 0.0))
+            trace.rows.append(StepReport(m, sigma_m, eta_m, delta_m, max_maj))
             converged = max_maj < params.tol
             steps = m
             break
@@ -743,12 +714,9 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
             exc.trace = trace
             raise
         t1 = time.perf_counter()
-        phase_ms = dict(report.phase_ms, compose=(t1 - t_compose) * 1000.0)
-        trace.append(TraceRow(m, sigma_m, eta_m, delta_m, max_maj,
-                              report.worst_mode_residual, report.tail_mass,
-                              report.ledger(), report.phase_drift,
-                              report.symmetry_projection, report.modes_solved,
-                              report.max_hat_empirical, (t1 - t0) * 1000.0), phase_ms)
+        report.phase_ms["compose"] = (t1 - t_compose) * 1000.0
+        report.wall_ms = (t1 - t0) * 1000.0
+        trace.rows.append(report)
         max_maj = report.certificates["contraction_claim"].lhs
 
     conj = Conjugacy(

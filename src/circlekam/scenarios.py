@@ -31,7 +31,7 @@ from .circle import (
 from .cocycle import Edge, Nerve, TransitionSystem
 from .engine import Conjugacy, KamParams
 from .errors import ExtractionError, SchemaError, ValidationError
-from .series import LaurentSeries
+from .series import LaurentSeries, _real
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,18 +84,17 @@ class Scenario:
             schema = doc.get("schema") if isinstance(doc, dict) else doc
             raise SchemaError(f"unsupported scenario schema {schema!r}")
         try:
-            width = float(doc["width"])
+            width = _real(doc["width"])
             charts = tuple(doc["charts"])
             edges = []
             transitions = []
             for ed in doc["edges"]:
                 edges.append(Edge(ed["from"], ed["to"], ed["label"]))
-                phase = float(ed["phase"])
-                hat = LaurentSeries.from_json_dict(ed["hat"])
-                if not (math.isfinite(phase) and np.all(np.isfinite(hat.coeffs))):
+                f = CircleDiffeo.from_json_dict(ed)
+                if not (math.isfinite(f.phase) and np.all(np.isfinite(f.hat.coeffs))):
                     raise SchemaError(f"edge {edges[-1]} has a non-finite phase "
                                       "or hat coefficient")
-                transitions.append(CircleDiffeo(phase, hat))
+                transitions.append(f)
             if not math.isfinite(width):
                 raise SchemaError(f"scenario width {width!r} is not finite")
             nerve = Nerve(charts, tuple(edges),

@@ -27,6 +27,30 @@ from .errors import AnnulusDomainError, InsufficientSamplesError, SchemaError
 SERIALIZATION_FLOOR = 1e-300
 
 
+def _integral(value) -> int:
+    """A JSON number with an integral value; a boolean is not one."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise TypeError(f"expected an integral number, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """A JSON number, int or float; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:   # an int beyond float range
+        raise ValueError(f"{value} is out of float range") from exc
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _coeff_array(coeffs: Mapping[int, complex], n_trunc: int) -> np.ndarray:
     arr = np.zeros(2 * n_trunc + 1, dtype=complex)
     for n, c in coeffs.items():
@@ -151,16 +175,15 @@ class LaurentSeries:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LaurentSeries":
         try:
-            n_t = int(doc["N"])
-            width = float(doc["sigma"])
+            n_t = _integral(doc["N"])
+            width = _real(doc["sigma"])
             coeffs = {}
             for entry in doc["coeffs"]:
                 if len(entry) != 3:
                     raise SchemaError(f"bad coefficient entry {entry!r}")
                 n, re, im = entry
-                coeffs[int(n)] = complex(float(re), float(im))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # an infinite index or truncation overflows int()
+                coeffs[_integral(n)] = complex(_real(re), _real(im))
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad Laurent series document: {exc}") from exc
         return cls.from_coeffs(coeffs, width, n_trunc=n_t)
 

@@ -241,11 +241,24 @@ def _missing_width(doc):
     del doc["final_width"]
 
 
+def _boolean_cocycle_phase(doc):
+    doc["linear_cocycle"]["edges"][0]["phase"] = True
+
+
+def _boolean_chart_phase(doc):
+    next(iter(doc["charts"].values()))["phase"] = True
+
+
+def _boolean_width(doc):
+    doc["final_width"] = True
+
+
 class TestMalformedConjugacy:
     @pytest.mark.parametrize("breaker", [_null_cocycle_phase, _nan_cocycle_phase,
                                          _inf_chart_phase, _text_chart_phase,
                                          _nan_chart_coefficient, _list_charts,
-                                         _missing_width])
+                                         _missing_width, _boolean_cocycle_phase,
+                                         _boolean_chart_phase, _boolean_width])
     def test_verify_exits_2_with_report(self, flagship_scenario, tmp_path, capsys,
                                         breaker):
         out = tmp_path / "out"
@@ -390,6 +403,37 @@ class TestScheduleFloatRange:
             argv += ["--out", str(tmp_path / "out")]
         assert main(argv) in (2, 3)
         strict_json(capsys.readouterr().out)
+
+
+# edits of the genus-2 pair file that once ran silently, as (path, value):
+# a hat truncation or coefficient index cut to an integer by int(), and
+# real-valued fields given a JSON boolean, which float() read as 1.0; and an
+# integer past float range, on which float() raised an uncaught OverflowError
+MALFORMED_NUMBERS = {
+    "hat N=64.7": (("edges", 0, "hat", "N"), 64.7),
+    "hat N=true": (("edges", 0, "hat", "N"), True),
+    "index=-2.5": (("edges", 0, "hat", "coeffs", 0, 0), -2.5),
+    "tol=true": (("params", "tol"), True),
+    "tol=10**400": (("params", "tol"), 10**400),
+    "C0=true": (("params", "C0"), True),
+    "width=true": (("width",), True),
+    "phase=true": (("edges", 0, "phase"), True),
+}
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("case", list(MALFORMED_NUMBERS))
+    def test_run_exits_2_with_report(self, pair_scenario, tmp_path, capsys, case):
+        doc = json.loads(pair_scenario.read_text())
+        path, value = MALFORMED_NUMBERS[case]
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert main(["run", str(broken), "--no-strict", "--out", str(tmp_path / "out")]) == 2
+        assert read_stdout_json(capsys)["outcome"] == "validation_error"
 
 
 class TestArguments:

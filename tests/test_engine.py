@@ -368,16 +368,31 @@ class TestRun:
         res = run(sc.system, sc.params)
         rows = res.trace.to_json_dict()["rows"]
         assert len(rows) == len(res.trace.rows) >= 2
-        for row, trace_row in zip(rows, res.trace.rows):
-            # the new field comes on top of the unchanged ones
-            assert {k: v for k, v in row.items() if k != "phase_ms"} == (
-                dataclasses.asdict(trace_row))
+        timing = ("wall_ms", "phase_ms")
+        for row, report in zip(rows, res.trace.rows):
+            # past the wall times, a row is its StepReport's fields by value,
+            # the certificates in ledger form
+            expected = {k: getattr(report, k) for k in row if k not in timing}
+            expected["certificates"] = report.ledger()
+            assert {k: v for k, v in row.items() if k not in timing} == expected
         for row in rows[:-1]:
             phases = row["phase_ms"]
             assert set(phases) == {"gate", "solve", "certificates", "renewal", "compose"}
             assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
             assert sum(phases.values()) <= row["wall_ms"] * (1 + 1e-9)
         assert rows[-1]["phase_ms"] == {}   # the converged row runs no step
+
+    def test_trace_json_keys_are_pinned(self):
+        # trace.json is read by tools outside the package: its keys and their
+        # order change only by addition, on purpose
+        sc = golden_scenario(1e-4, strict=False)
+        doc = run(sc.system, sc.params).trace.to_json_dict()
+        assert list(doc) == ["conventions", "initial_norm_gate", "rows", "violations"]
+        for row in doc["rows"]:
+            assert list(row) == [
+                "m", "sigma", "eta", "delta", "max_hat_norm", "worst_mode_residual",
+                "tail_mass", "certificates", "phase_drift", "symmetry_projection",
+                "modes_solved", "max_hat_empirical", "wall_ms", "phase_ms"]
 
     def test_trace_csv_shape(self):
         sc = golden_scenario(1e-4, strict=False)

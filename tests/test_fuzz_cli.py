@@ -114,6 +114,16 @@ one_edit = st.tuples(st.integers(0, 10**6), st.sampled_from(HOSTILE)).map(lambda
 @example(edits=[(("params", "N"), 64.7)], command="run")
 @example(edits=[(("params", "N"), True)], command="rotnum")
 @example(edits=[(("params", "max_iter"), 2.9)], command="run")
+# hat truncations and indices cut by int(), numbers given as booleans, an
+# integer past float range
+@example(edits=[(("edges", 0, "hat", "N"), 64.7)], command="run")
+@example(edits=[(("edges", 0, "hat", "N"), True)], command="run")
+@example(edits=[(("edges", 0, "hat", "coeffs", 0, 0), -2.5)], command="run")
+@example(edits=[(("params", "tol"), True)], command="run")
+@example(edits=[(("params", "tol"), 10**400)], command="run")
+@example(edits=[(("params", "C0"), True)], command="gate")
+@example(edits=[(("width",), True)], command="run")
+@example(edits=[(("edges", 0, "phase"), True)], command="run")
 # schedule constants past float range
 @example(edits=_widths(1e-17), command="run")
 @example(edits=_widths(1e-17), command="gate")
@@ -154,6 +164,9 @@ def test_scenario_documents(docs, edits, command):
 @example(edits=[(("charts", "U0", "hat", "coeffs", 0, 1), math.nan)])
 @example(edits=[(("charts",), ["U0"])])
 @example(edits=[(("final_width",), DELETE)])
+@example(edits=[(("final_width",), True)])
+@example(edits=[(("linear_cocycle", "edges", 0, "phase"), True)])
+@example(edits=[(("charts", "U0", "phase"), True)])
 # the +-1e308 chart: a non-finite residual
 @example(edits=[(("charts", "U1", "hat", "coeffs"), [[40, 1e308, 0.0], [-40, -1e308, 0.0]])])
 def test_conjugacy_documents(docs, edits):
