@@ -8,13 +8,16 @@ prints a machine-readable JSON report to stdout; ``run`` also writes trace
 CSV/JSON, conjugacy JSON, and diagnostics JSON next to ``--out``. All JSON is
 strict: a non-finite number is written as ``null``. An error is reported by
 one handler in :func:`main` (``run`` writes its files in its own), from the
-``outcome`` and ``fields`` of its class.
+``outcome`` and ``fields`` of its class. ``--log-level`` sends the library's
+log records to stderr (default WARNING); stdout is the same at every level.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -28,6 +31,8 @@ from .scenarios import Scenario
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_FAILURE = 3
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _diagnose(exc: CircleKamError) -> tuple[dict, int]:
@@ -92,6 +97,8 @@ def _cmd_run(args) -> int:
         "conjugation_residual": result.conjugation_residual,
         "gate_passed": result.gate.passed,
         "C0": result.params.c0,
+        "C0_mode": result.gate.c0_mode,
+        "C0_loop": result.gate.c0_loop,
         "message": (
             f"converged in {result.steps} steps" if result.converged
             else f"tolerance not reached within {result.params.max_iter} steps"
@@ -151,6 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="circlekam",
         description="KAM linearization of circle-diffeomorphism cocycles",
     )
+    parser.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS,
+                        default="WARNING", help="level of the log written to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="full linearization pipeline")
@@ -184,14 +193,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str):
+    """The package's log records at ``level`` and above go to stderr while
+    a command runs."""
+    pkg = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = pkg.level
+    pkg.addHandler(handler)
+    pkg.setLevel(level)
+    try:
+        yield
+    finally:
+        pkg.removeHandler(handler)
+        pkg.setLevel(previous)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except CircleKamError as exc:
-        diag, code = _diagnose(exc)
-        _emit(diag)
-        return code
+    with _log_to_stderr(args.log_level):
+        try:
+            return args.fn(args)
+        except CircleKamError as exc:
+            diag, code = _diagnose(exc)
+            _emit(diag)
+            return code
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ power law ``C0 |n|^(mu-1)``.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -29,12 +30,28 @@ from .errors import (
 )
 from .series import _real, majorants
 
+logger = logging.getLogger(__name__)
+
 TWO_PI = 2.0 * np.pi
 
 # Relative floor under which a mode system counts as rank deficient. Matrix
 # entries are unimodular, so the absolute scale max(1, s_max) is the right
 # reference even for 1x1 systems.
 RANK_RCOND = 1e-12
+
+# Modes 1..C0_PREFIX whose norms the C0 fit factors before the proven bound
+# prunes the rest. The largest ratio A_n / n^(mu-1) tends to sit at a low
+# mode, so this prefix usually holds it or comes close.
+C0_PREFIX = 4
+
+# Round-off margin of the pruning bound, in units of u (C + E) for C charts
+# and E edges, u the unit round-off. Forming ``G_n`` from the floating mode
+# entries and factoring it as L D L^H perturb it by at most about
+# (C + E + 2) u tr G_n in the 2-norm (Higham, "Accuracy and Stability of
+# Numerical Algorithms", 2nd ed., Thm 10.3); the SVD that computes ``A_n``
+# is off by a small multiple of u s_max / s_min relative. 4096 covers both by
+# three orders of magnitude.
+PRUNE_MARGIN_ULPS = 4096
 
 
 @dataclass(frozen=True)
@@ -308,6 +325,19 @@ def _resonant_cycle(bundle: UnitaryFlatBundle, n: int):
     return best
 
 
+def _loop_names(loop: Sequence) -> list:
+    """A closed walk as ``["+U0->U1[+]", "-U0->U1[-]", ...]``, one signed
+    edge per step."""
+    return [f"{'+' if s > 0 else '-'}{e}" for e, s in loop]
+
+
+def closest_loop(bundle: UnitaryFlatBundle, n: int):
+    """The fundamental cycle closest to resonance at mode n, as
+    :func:`_loop_names`, or None if the nerve is a forest."""
+    hit = _resonant_cycle(bundle, n)
+    return None if hit is None else _loop_names(hit[0])
+
+
 def _raise_if_resonant(bundle: UnitaryFlatBundle, n: int) -> None:
     """Raise for a rank-deficient mode n unless the nerve is a forest, where
     rank deficiency is plain gauge freedom."""
@@ -316,7 +346,7 @@ def _raise_if_resonant(bundle: UnitaryFlatBundle, n: int) -> None:
         cyc, h = hit
         raise ResonantModeError(
             mode=n,
-            loop=[f"{'+' if s > 0 else '-'}{e}" for e, s in cyc],
+            loop=_loop_names(cyc),
             holonomy=float((n * h) % TWO_PI),
         )
 
@@ -412,6 +442,19 @@ def solve_mode(
     return solve_modes(bundle, [n], bvec[None, :], solvability_tol)[0]
 
 
+def _exact_norms(bundle: UnitaryFlatBundle, modes: np.ndarray) -> np.ndarray:
+    """:func:`amplification_norms` of the listed positive modes, from one
+    stacked SVD; raises on the first resonant one."""
+    if modes.size == 0:
+        return np.zeros(0)
+    _, pinv, deficient = _pseudo_inverses(bundle, modes)
+    first = np.flatnonzero(deficient)
+    if first.size:
+        # whether a rank drop is resonant depends on the nerve, not on n
+        _raise_if_resonant(bundle, int(modes[first[0]]))
+    return np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
+
+
 def amplification_norms(bundle: UnitaryFlatBundle, n_max: int) -> np.ndarray:
     """Per-mode operator norm (inf to inf) of the min-norm solution map for
     n = 1..n_max as one array; mode -n has the same norm. Raises on the
@@ -426,13 +469,7 @@ def amplification_norms(bundle: UnitaryFlatBundle, n_max: int) -> np.ndarray:
         raise ValidationError("n_max must be positive")
     if not bundle.nerve.edges:
         return np.zeros(n_max)   # no cycles, no resonance
-    positive = np.arange(1, n_max + 1)
-    _, pinv, deficient = _pseudo_inverses(bundle, positive)
-    first = np.flatnonzero(deficient)
-    if first.size:
-        # whether a rank drop is resonant depends on the nerve, not on n
-        _raise_if_resonant(bundle, int(positive[first[0]]))
-    return np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
+    return _exact_norms(bundle, np.arange(1, n_max + 1))
 
 
 def amplification_spectrum(bundle: UnitaryFlatBundle, n_max: int) -> dict:
@@ -441,6 +478,66 @@ def amplification_spectrum(bundle: UnitaryFlatBundle, n_max: int) -> dict:
     norms = amplification_norms(bundle, n_max)
     modes = np.arange(1, n_max + 1).repeat(2) * np.tile([1, -1], n_max)
     return dict(zip(modes.tolist(), norms.repeat(2).tolist()))
+
+
+def _gram(bundle: UnitaryFlatBundle, modes: np.ndarray) -> np.ndarray:
+    """``G_n = A_n^H A_n`` of ``modes`` stacked as (len(modes), charts,
+    charts), in closed form: the connection Laplacian of the nerve twisted by
+    n (Bandeira, Singer and Spielman, SIAM J. Matrix Anal. Appl. 34, 2013).
+    Each edge adds 1 to the diagonal at its two charts and ``-e^{i n phi}``
+    off it, or ``|e^{i n phi} - 1|^2`` to the diagonal if it is a loop. The
+    entries ``e^{i n phi_e}`` are the floats :func:`_mode_tensor` builds."""
+    nerve = bundle.nerve
+    x = np.exp(1j * (modes[:, None] * np.array(bundle.phases)[None, :]))
+    g = np.zeros((len(modes), len(nerve.charts), len(nerve.charts)), dtype=complex)
+    for e, xe in zip(nerve.edges, x.T):
+        j, k = nerve.chart_index(e.src), nerve.chart_index(e.dst)
+        if j == k:
+            g[:, j, j] += np.abs(xe - 1.0) ** 2
+        else:
+            g[:, j, j] += 1.0
+            g[:, k, k] += 1.0
+            g[:, j, k] -= xe
+            g[:, k, j] -= xe.conj()
+    return g
+
+
+def amplification_bounds(bundle: UnitaryFlatBundle, modes) -> tuple:
+    """Proven upper bounds on the norms ``A_n`` of ``modes``, and per mode
+    whether the bound also proves the mode system full rank.
+
+    ``A_n <= sqrt(E) / s_min(A_n)``, and ``s_min^2`` is the least eigenvalue
+    of ``G_n``, which by the arithmetic-geometric mean inequality on the
+    other C - 1 eigenvalues is at least ``det G_n / (tr G_n / (C-1))^(C-1)``
+    (``det G_n`` on one chart). The determinant is the product of the
+    pivots of an L D L^H elimination without pivoting; a mode with a pivot
+    that is not positive gets no bound. With ``m = PRUNE_MARGIN_ULPS u
+    (C + E)``, det is taken as ``(1 - m) det``, tr as ``(1 + m) tr`` and
+    ``m tr`` is subtracted from the eigenvalue bound. A mode is proven full
+    rank when the resulting lower bound on ``s_min`` clears the rank floor
+    ``RANK_RCOND * max(1, s_max)``, with ``s_max <= sqrt(tr)``. Modes
+    without a proof get an infinite bound.
+    """
+    modes = np.asarray(modes, dtype=int)
+    n_charts, n_edges = len(bundle.nerve.charts), len(bundle.nerve.edges)
+    g = _gram(bundle, modes)
+    tr = np.trace(g, axis1=-2, axis2=-1).real
+    pivots = np.empty(g.shape[:-1])
+    with np.errstate(all="ignore"):
+        for k in range(n_charts):
+            pivots[:, k] = g[:, k, k].real
+            column = g[:, k + 1:, k] / pivots[:, k, None]
+            g[:, k + 1:, k + 1:] -= column[:, :, None] * g[:, None, k, k + 1:]
+        margin = PRUNE_MARGIN_ULPS * np.finfo(float).eps * (n_charts + n_edges)
+        tr_hi = tr * (1.0 + margin)
+        lam_lo = (np.prod(pivots, axis=-1) * (1.0 - margin)
+                  / (tr_hi / max(n_charts - 1, 1)) ** (n_charts - 1)
+                  - margin * tr_hi)
+        s_lo = np.sqrt(np.where(np.all(pivots > 0, axis=-1) & (lam_lo > 0), lam_lo, 0.0))
+        bound = np.divide(math.sqrt(n_edges), s_lo, where=s_lo > 0,
+                          out=np.full(modes.size, np.inf))
+    full_rank = s_lo > RANK_RCOND * np.maximum(1.0, np.sqrt(tr_hi))
+    return bound, full_rank
 
 
 def power_or_inf(x: float, p: float) -> float:
@@ -471,6 +568,42 @@ def diophantine_ratios(modes, amplifications, mu: float) -> np.ndarray:
         raise ValidationError("mode n must be nonzero")
     powers = _mode_powers(int(np.max(n_abs, initial=1)), mu - 1.0)
     return np.asarray(amplifications, dtype=float) / powers[n_abs - 1]
+
+
+def fit_c0(bundle: UnitaryFlatBundle, n_max: int, mu: float) -> tuple:
+    """``(C0, mode, factored)``: the largest ``A_n / n^(mu-1)`` over
+    n = 1..n_max, the least mode that attains it, and how many modes were
+    factored to find it.
+
+    C0 is bit for bit the maximum of :func:`diophantine_ratios` over
+    :func:`amplification_norms`, and a resonant nerve raises the same
+    error. The norms of modes 1..C0_PREFIX are factored first; their largest
+    ratio is the running maximum. :func:`amplification_bounds` then prunes
+    every later mode whose proven bound ratio lies below that maximum and
+    which the bound proves full rank, and one stacked SVD factors the rest.
+    A pruned mode can neither set C0 nor be the first resonant mode. A
+    forest has no bound (each mode system has a kernel) and is fitted from
+    the full spectrum, with mode None.
+    """
+    if n_max < 1:
+        raise ValidationError("n_max must be positive")
+    nerve = bundle.nerve
+    if len(nerve.edges) < len(nerve.charts):
+        logger.debug("C0 fit on a forest: factoring all %d modes", n_max)
+        ratios = diophantine_ratios(np.arange(1, n_max + 1),
+                                    amplification_norms(bundle, n_max), mu)
+        return float(np.max(ratios)), None, n_max
+    head = np.arange(1, min(C0_PREFIX, n_max) + 1)
+    ratios = diophantine_ratios(head, _exact_norms(bundle, head), mu)
+    rest = np.arange(head.size + 1, n_max + 1)
+    powers = _mode_powers(n_max, mu - 1.0)
+    bound, full_rank = amplification_bounds(bundle, rest)
+    candidates = rest[~(full_rank & (bound / powers[rest - 1] < np.max(ratios)))]
+    modes = np.concatenate([head, candidates])
+    ratios = np.concatenate(
+        [ratios, _exact_norms(bundle, candidates) / powers[candidates - 1]])
+    best = int(np.argmax(ratios))
+    return float(ratios[best]), int(modes[best]), int(modes.size)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -55,8 +56,8 @@ from .circle import (
 from .cocycle import (
     TransitionSystem,
     UnitaryFlatBundle,
-    amplification_norms,
-    diophantine_ratios,
+    closest_loop,
+    fit_c0,
     power_or_inf,
     solve_modes,
 )
@@ -76,6 +77,8 @@ from .series import (
     empirical_sup_norms,
     majorants,
 )
+
+logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
 
@@ -247,15 +250,24 @@ def schedule(params: KamParams, m: int) -> tuple[float, float, float]:
     return next(_levels(params, m))
 
 
-def resolve_c0(system: TransitionSystem, params: KamParams) -> KamParams:
-    """Fit c0 from the measured amplification spectrum when it is unset: the
-    largest ``A_n / n^(mu-1)`` over the array of mode norms n = 1..N, the
-    C0 that :func:`circlekam.cocycle.fit_diophantine` finds on the spectrum."""
+def _fit_c0(system: TransitionSystem, params: KamParams) -> tuple:
+    """:func:`resolve_c0`, and the mode whose ratio sets the fitted c0 (None
+    when c0 was given or the nerve is a forest)."""
     if params.c0 is not None:
-        return params
-    norms = amplification_norms(system.bundle(), params.n_trunc)
-    ratios = diophantine_ratios(np.arange(1, params.n_trunc + 1), norms, params.mu)
-    return params.with_c0(float(np.max(ratios)))
+        return params, None
+    c0, mode, factored = fit_c0(system.bundle(), params.n_trunc, params.mu)
+    logger.debug("C0 fit: factored %d of %d modes; C0 = %.17g set by mode %s",
+                 factored, params.n_trunc, c0, mode)
+    return params.with_c0(c0), mode
+
+
+def resolve_c0(system: TransitionSystem, params: KamParams) -> KamParams:
+    """Fit c0 from the amplification spectrum when it is unset:
+    :func:`circlekam.cocycle.fit_c0`, the largest ``A_n / n^(mu-1)`` over
+    n = 1..N, bit for bit the C0 that
+    :func:`circlekam.cocycle.fit_diophantine` finds on the full spectrum,
+    from the few modes a proven bound cannot rule out."""
+    return _fit_c0(system, params)[0]
 
 
 def _check_truncations(system: TransitionSystem, n_trunc: int) -> None:
@@ -411,6 +423,8 @@ class GateReport:
     c1: float
     eta0: float
     per_edge: tuple   # (edge str, majorant, margin, passed)
+    c0_mode: int | None = None    # mode whose ratio sets a fitted C0
+    c0_loop: list | None = None   # fundamental cycle closest to resonance there
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
     def to_json_dict(self) -> dict:
@@ -419,6 +433,8 @@ class GateReport:
             "passed": self.passed,
             "gate_value": self.gate_value,
             "C0": self.c0_used,
+            "C0_mode": self.c0_mode,
+            "C0_loop": self.c0_loop,
             "C1": self.c1,
             "eta0": self.eta0,
             "per_edge": [
@@ -430,8 +446,10 @@ class GateReport:
 
 def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
     """Compare every edge's certified hat majorant at sigma0 against the gate
-    ``min(eta0, eta0^(mu+1) / ((1 + e^sigma0) C1 mu))``. Pure report."""
-    params = resolve_c0(system, params)
+    ``min(eta0, eta0^(mu+1) / ((1 + e^sigma0) C1 mu))``. Pure report. A
+    fitted C0 is reported with its mode and the loop closest to resonance
+    at that mode."""
+    params, c0_mode = _fit_c0(system, params)
     gate = float(params.delta0)
     majs = majorants([f.hat for f in system.transitions], params.sigma0).tolist()
     per_edge = [(str(e), maj, gate - maj, maj < gate)
@@ -443,6 +461,8 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
         c1=float(params.c1),
         eta0=float(params.eta0),
         per_edge=tuple(per_edge),
+        c0_mode=c0_mode,
+        c0_loop=None if c0_mode is None else closest_loop(system.bundle(), c0_mode),
     )
 
 
@@ -679,8 +699,9 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     trace = IterationTrace(entry=StepReport(m=0, strict=params.strict_schedule))
     try:
         _check_truncations(system, params.n_trunc)
-        params = resolve_c0(system, params)
         gate = gate_check(system, params)
+        if params.c0 is None:
+            params = params.with_c0(gate.c0_used)
         _certify(trace.entry, "initial_norm_gate",
                  np.max([row[1] for row in gate.per_edge], initial=0.0),
                  gate.gate_value, strict_ineq=True)

@@ -147,6 +147,20 @@ class TestGate:
         assert main(["gate", str(linear_scenario)]) == 0
         assert read_stdout_json(capsys)["passed"] is True
 
+    def test_reports_the_mode_and_loop_of_c0(self, pair_scenario, capsys):
+        assert main(["gate", str(pair_scenario)]) == 0
+        doc = read_stdout_json(capsys)
+        assert doc["C0_mode"] == 1
+        assert doc["C0_loop"] == ["+U0->U1[-]", "-U0->U1[+]"]
+
+    def test_debug_log_goes_to_stderr_only(self, pair_scenario, capsys):
+        assert main(["gate", str(pair_scenario)]) == 0
+        quiet = capsys.readouterr()
+        assert main(["--log-level", "debug", "gate", str(pair_scenario)]) == 0
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out and quiet.err == ""
+        assert "DEBUG circlekam.engine: C0 fit: factored 5 of 64 modes" in loud.err
+
 
 class TestRotnum:
     def test_reports_each_edge(self, flagship_scenario, capsys):
@@ -463,6 +477,17 @@ class TestArguments:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         report = strict_json(capsys.readouterr().out)
         assert report["outcome"] == "validation_error" and "outputs" in report["message"]
+
+    def test_run_diagnostics_name_the_mode_of_c0(self, genus2_run):
+        scenario, out, stdout = genus2_run
+        diag = strict_json((out / "diagnostics.json").read_text())
+        assert diag == strict_json(stdout)
+        assert diag["C0_mode"] == 1 and diag["C0_loop"] == ["+U0->U1[-]", "-U0->U1[+]"]
+
+    def test_unknown_log_level_exits_2(self, pair_scenario, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", "loud", "gate", str(pair_scenario)])
+        assert exc.value.code == 2
 
     def test_listed_outputs_are_written(self, pair_scenario, tmp_path, capsys):
         doc = json.loads(pair_scenario.read_text())

@@ -199,6 +199,26 @@ class TestGate:
         assert rep.c0_used > 0 and rep.eta0 == 0.05
         assert "c1_constant" in rep.conventions
 
+    def test_fitted_c0_names_its_mode_and_loop(self):
+        sc = golden_scenario(1e-4)
+        rep = gate_check(sc.system, sc.params)
+        spectrum = cocycle.amplification_spectrum(sc.system.bundle(), sc.params.n_trunc)
+        fit = cocycle.fit_diophantine(spectrum, sc.params.mu)
+        assert rep.c0_used == fit.c0 and rep.c0_mode == fit.argmax_mode
+        assert rep.c0_loop == ["+U0->U0[loop]"]
+        doc = rep.to_json_dict()
+        assert (doc["C0_mode"], doc["C0_loop"]) == (rep.c0_mode, rep.c0_loop)
+
+    def test_given_c0_and_forests_name_no_mode(self):
+        sc = golden_scenario(1e-4, c0=2.0)
+        rep = gate_check(sc.system, sc.params)
+        assert rep.c0_used == 2.0 and (rep.c0_mode, rep.c0_loop) == (None, None)
+        nerve = cocycle.Nerve(("A", "B"), (cocycle.Edge("A", "B", "t"),))
+        edge_map = CircleDiffeo(0.4, LaurentSeries.zero(1.0, 8))
+        tree = cocycle.TransitionSystem(nerve, (edge_map,), 1.0)
+        rep = gate_check(tree, KamParams(sigma0=1.0, eta0=0.05, n_trunc=8))
+        assert rep.c0_used > 0 and (rep.c0_mode, rep.c0_loop) == (None, None)
+
 
 class TestKamStep:
     def test_all_linear_fixed_point(self):

@@ -2,9 +2,9 @@
 loops it replaced, the one-FFT spectral expansion against the two-FFT form
 it replaced, the data-sized forms (degree-sized expansion grids, one
 stacked solve per step, the mirrored spectrum) against the fixed-size forms
-they replaced, and the edge-stacked step (stacked majorants, the array C0
+they replaced, the edge-stacked step (stacked majorants, the array C0
 fit, the stacked decay audit, the batched renewal) against the per-edge
-loops it replaced.
+loops it replaced, and the pruned C0 fit against the full spectrum.
 
 Each reference below is the replaced formulation kept verbatim. Where the
 new code performs the same floating-point operations in the same order on
@@ -55,9 +55,12 @@ from circlekam.cocycle import (
     TWO_PI,
     ModeCochainSolution,
     _mode_tensor,
+    _pseudo_inverses,
     _raise_if_resonant,
     _rank_deficient,
     _resonant_cycle,
+    amplification_bounds,
+    fit_c0,
     mode_matrix,
     solve_modes,
 )
@@ -328,6 +331,31 @@ def forest_bundle(phases):
     charts = tuple(f"C{i}" for i in range(len(phases) + 1))
     edges = tuple(Edge(charts[i // 2], charts[i + 1], f"t{i}")
                   for i in range(len(phases)))
+    return UnitaryFlatBundle(Nerve(charts, edges), tuple(phases))
+
+
+def one_cycle_bundle(phases):
+    """The tree of :func:`forest_bundle` on len(phases) charts plus one edge
+    from its last chart back to the first: a nerve with a single loop."""
+    charts = tuple(f"C{i}" for i in range(len(phases)))
+    edges = tuple(Edge(charts[i // 2], charts[i + 1], f"t{i}")
+                  for i in range(len(phases) - 1))
+    edges += (Edge(charts[-1], charts[0], "back"),)
+    return UnitaryFlatBundle(Nerve(charts, edges), tuple(phases))
+
+
+def single_chart_bundle(phases):
+    """One chart with one loop per phase."""
+    edges = tuple(Edge("U0", "U0", f"loop{i}") for i in range(len(phases)))
+    return UnitaryFlatBundle(Nerve(("U0",), edges), tuple(phases))
+
+
+def four_chart_bundle(phases):
+    """Four charts on a square with a diagonal and a loop at U1: three
+    independent cycles, one of them a loop at one chart."""
+    charts = ("U0", "U1", "U2", "U3")
+    edges = (Edge("U0", "U1", "a"), Edge("U1", "U2", "b"), Edge("U2", "U3", "c"),
+             Edge("U3", "U0", "d"), Edge("U0", "U2", "e"), Edge("U1", "U1", "f"))
     return UnitaryFlatBundle(Nerve(charts, edges), tuple(phases))
 
 
@@ -659,33 +687,90 @@ def _c0_systems(bundle):
                             1.0)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, TWO_PI, exclude_max=True),
-       st.integers(1, 1024), st.sampled_from([2.0, 1.5, 2.5, 3.7]))
-def test_array_c0_equals_dict_fit_on_genus2(phi1, phi2, n_max, mu):
-    bundle = genus2_bundle(phi1, phi2)
+def _assert_c0_as_full_spectrum(bundle, n_max, mu, forest=False):
+    """The engine's C0, and the mode fit_c0 names, against the dict fit on
+    the full spectrum; a resonance raises as the full spectrum raises."""
     params = KamParams(sigma0=1.0, eta0=0.01, mu=mu, n_trunc=n_max)
     try:
-        spectrum = amplification_spectrum(bundle, n_max)
-    except ResonantModeError:
-        with pytest.raises(ResonantModeError):
+        spectrum = amplification_spectrum_full(bundle, n_max)
+    except ResonantModeError as ref:
+        with pytest.raises(ResonantModeError) as got:
             resolve_c0(_c0_systems(bundle), params)
+        assert (got.value.mode, got.value.loop, got.value.holonomy) == (
+            ref.mode, ref.loop, ref.holonomy)
         return
     want = fit_diophantine_loop(spectrum, mu)
     assert resolve_c0(_c0_systems(bundle), params).c0 == want.c0
+    assert fit_c0(bundle, n_max, mu)[:2] == (want.c0, None if forest else want.argmax_mode)
     assert fit_diophantine(spectrum, mu) == want
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=5),
+@given(st.sampled_from([genus2_bundle, single_chart_bundle]),
+       st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, TWO_PI, exclude_max=True),
+       st.integers(1, 1024), st.sampled_from([2.0, 1.5, 2.5, 3.7]))
+def test_array_c0_equals_dict_fit_on_genus2(make, phi1, phi2, n_max, mu):
+    bundle = make(phi1, phi2) if make is genus2_bundle else make([phi1])
+    _assert_c0_as_full_spectrum(bundle, n_max, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([forest_bundle, one_cycle_bundle]),
+       st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=5),
        st.integers(1, 512), st.sampled_from([2.0, 1.5, 2.5, 3.7]))
-def test_array_c0_equals_dict_fit_on_forests(phases, n_max, mu):
-    bundle = forest_bundle(phases)
-    params = KamParams(sigma0=1.0, eta0=0.01, mu=mu, n_trunc=n_max)
-    spectrum = amplification_spectrum(bundle, n_max)
-    want = fit_diophantine_loop(spectrum, mu)
-    assert resolve_c0(_c0_systems(bundle), params).c0 == want.c0
-    assert fit_diophantine(spectrum, mu) == want
+def test_array_c0_equals_dict_fit_on_forests(make, phases, n_max, mu):
+    _assert_c0_as_full_spectrum(make(phases), n_max, mu, forest=make is forest_bundle)
+
+
+def test_one_matrix_svd_is_the_same_in_any_batch():
+    bundle = four_chart_bundle([0.3, 1.1, 2.9, 4.4, 0.01, 5.7])
+    modes = np.arange(1, 1025)
+    _, pinv, deficient = _pseudo_inverses(bundle, modes)
+    rng = np.random.default_rng(7)
+    for sub in (modes[:4], modes[4:], np.sort(rng.choice(modes, 37, replace=False)),
+                np.array([1024]), np.array([5, 900])):
+        _, sub_pinv, sub_deficient = _pseudo_inverses(bundle, sub)
+        assert np.array_equal(sub_pinv, pinv[sub - 1])
+        assert np.array_equal(sub_deficient, deficient[sub - 1])
+
+
+@st.composite
+def near_resonant_phases(draw, count):
+    """Phases drawn at random, or at 2 pi p/q + eps with eps down to 1e-13."""
+    out = []
+    for _ in range(count):
+        if draw(st.booleans()):
+            out.append(draw(st.floats(0.0, TWO_PI, exclude_max=True)))
+        else:
+            q = draw(st.integers(1, 40))
+            p = draw(st.integers(0, q - 1))
+            eps = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, -1e-9, 1e-6, 1e-3]))
+            out.append((TWO_PI * p / q + eps) % TWO_PI)
+    return out
+
+
+@st.composite
+def bound_nerves(draw):
+    kind = draw(st.sampled_from(["genus2", "single", "four"]))
+    if kind == "genus2":
+        return genus2_bundle(*draw(near_resonant_phases(2)))
+    if kind == "single":
+        return single_chart_bundle(draw(near_resonant_phases(draw(st.integers(1, 2)))))
+    return four_chart_bundle(draw(near_resonant_phases(6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_nerves(), st.integers(1, 2048), st.sampled_from([2.0, 1.5, 3.7]))
+def test_pruning_bound_holds_and_proves_rank(bundle, n_max, mu):
+    modes = np.arange(1, n_max + 1)
+    _, pinv, deficient = _pseudo_inverses(bundle, modes)
+    norms = np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
+    bound, full_rank = amplification_bounds(bundle, modes)
+    proven = np.isfinite(bound)
+    assert np.all(bound[proven & ~deficient] >= norms[proven & ~deficient])
+    assert not np.any(full_rank & deficient)
+    assert np.all(proven[full_rank])
+    _assert_c0_as_full_spectrum(bundle, n_max, mu)
 
 
 def test_dict_fit_equals_loop_on_synthetic_spectra():
