@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CircleKamError,
     InsufficientSamplesError,
     InversionDivergedError,
     NestingError,
@@ -106,13 +105,6 @@ def symmetry_defect(hat: LaurentSeries) -> float:
     return float(np.max(np.abs(hat.coeffs + flipped))) if hat.coeffs.size else 0.0
 
 
-def symmetrize(hat: LaurentSeries) -> tuple[LaurentSeries, float]:
-    """Project onto the reality-symmetric subspace; return (series, defect)."""
-    defect = symmetry_defect(hat)
-    arr = 0.5 * (hat.coeffs - np.conj(hat.coeffs[::-1]))
-    return LaurentSeries(arr, hat.width), defect
-
-
 def identity_map(width: float, n_trunc: int = 0) -> CircleDiffeo:
     return CircleDiffeo(0.0, LaurentSeries.zero(width, n_trunc))
 
@@ -127,16 +119,15 @@ def rotation(phase: float, width: float, n_trunc: int = 0) -> CircleDiffeo:
 # one row of a stacked array per map. A failing row does not stop the others:
 # its first error is recorded in an ``errors`` dict keyed by row, and callers
 # raise the error of the lowest failing row, which is the error a loop over
-# the rows in order would have raised. The one-map functions (eval_diffeo,
-# apply_inverse, expand_detailed, expand_by_degree) are their one-row cases.
+# the rows in order would have raised. The one-map functions eval_diffeo,
+# apply_inverse, expand_detailed and compose are their one-row cases.
 
 
-def _fail(errors: dict, bad: np.ndarray, make, rows: np.ndarray | None = None) -> None:
-    """Record ``make(r)`` as the error of every flagged row r without one;
-    with ``rows``, flag i stands for row ``rows[i]``."""
-    hit = bad.nonzero()[0]
-    for r in (hit if rows is None else rows[hit]).tolist():
-        errors.setdefault(r, make(r))
+def _fail(errors: dict, bad: np.ndarray, make) -> None:
+    """Record ``make(r)`` as the error of every flagged row r without one."""
+    for r in bad.nonzero()[0].tolist():
+        if r not in errors:
+            errors[r] = make(r)
 
 
 def _raise_first(errors: dict, labels=None) -> None:
@@ -166,45 +157,41 @@ def _solve_log_lift(hats: SeriesRows, zeta0: np.ndarray, errors: dict) -> np.nda
 
     Fixed-point iteration ``zeta <- zeta0 - hat(e^zeta)`` (a contraction when
     the derivative majorant is below one), with a Newton fallback after 50
-    sweeps and a hard cap of 200. Each row stops at its own convergence, so
-    it takes exactly the sweeps it would take alone. A row whose iterate
-    leaves its annulus fails and stops; the overflow its last sweep may meet
-    is not warned about, the error reports it.
+    sweeps and a hard cap of 200. Every sweep runs on the whole block; a row
+    that has converged, or whose iterate has left its annulus, or that had
+    failed before the solve, is finished and keeps its value under a mask.
+    Row r of a sweep depends on row r alone, so each row takes exactly the
+    sweeps, and gets exactly the bits, it would alone. A row that leaves its
+    annulus fails; the overflow its last sweep may meet is not warned about,
+    the error reports it.
     """
     zeta = zeta0.copy()
-    count = zeta.shape[0]
-    active = np.array([r not in errors for r in range(count)])
-    delta = np.zeros(count)
-    rows = active.nonzero()[0]
+    active = np.array([r not in errors for r in range(zeta.shape[0])])
+    masked = not active.all()   # no masking pass until some row is finished
     with np.errstate(all="ignore"):
-        for it in range(200):
-            if rows.size == 0:
-                break
-            every = rows.size == count
-            h = hats if every else hats.take(rows)
-            z, z0 = (zeta, zeta0) if every else (zeta[rows], zeta0[rows])
-            ez = np.exp(z)
-            outside = h.outside(ez)
+        for it in range(200 if active.any() else 0):
+            ez = np.exp(zeta)
+            outside = hats.outside(ez)
             if outside.any():
-                _fail(errors, outside, hats.domain_error, rows)
+                _fail(errors, outside, hats.domain_error)
             if it < 50:
-                znew = z0 - h(ez)
+                znew = zeta0 - hats(ez)
             else:
-                center = (h.coeffs.shape[-1] - 1) // 2
-                dh = SeriesRows(h.coeffs * np.arange(-center, center + 1), h.widths)
-                znew = z - (z + h(ez) - z0) / (1.0 + dh(ez))
-            step = np.abs(znew - z).max(axis=-1)
-            if every:
-                zeta = znew
-            else:
-                zeta[rows] = znew
-            delta[rows] = step
+                center = (hats.coeffs.shape[-1] - 1) // 2
+                dh = SeriesRows(hats.coeffs * np.arange(-center, center + 1), hats.widths)
+                znew = zeta - (zeta + hats(ez) - zeta0) / (1.0 + dh(ez))
+            step = np.abs(znew - zeta).max(axis=-1)
+            if masked:
+                np.copyto(znew, zeta, where=~active[:, None])
+            zeta = znew
             stop = outside | (step < 1e-15 * (1.0 + np.abs(znew).max(axis=-1)))
             if stop.any():
-                active[rows[stop]] = False
-                rows = active.nonzero()[0]
+                active[stop] = False
+                masked = True
+                if not active.any():
+                    break
     _fail(errors, active, lambda r: InversionDivergedError(
-        f"log-lift fixed point did not converge (last delta {delta[r]:.3e})"))
+        f"log-lift fixed point did not converge (last delta {step[r]:.3e})"))
     return zeta
 
 
@@ -353,27 +340,6 @@ def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
     return [CircleDiffeo(p, LaurentSeries(h, width)) for p, h in zip(phases, padded)], infos
 
 
-def expand_by_degree(
-    sample, degree: int, n_trunc: int, width: float
-) -> tuple[CircleDiffeo, ExpandInfo]:
-    """Expand the map the callable ``sample`` evaluates on unit-circle points,
-    on a grid sized by ``degree`` (the sum of the effective degrees of the
-    factors the callable composes) rather than by ``n_trunc``: the one-row
-    case of :func:`expand_rows_by_degree`. An attempt below ``n_trunc`` that
-    raises a :class:`CircleKamError` is retried at twice the truncation; at
-    ``n_trunc`` it is exactly ``expand_detailed(sample(unit_circle(max(4
-    n_trunc, 8))), n_trunc, width)``.
-    """
-    def rows(w):
-        try:
-            return np.asarray(sample(w), dtype=complex)[None], {}
-        except CircleKamError as exc:
-            return np.full((1, w.size), np.nan, dtype=complex), {0: exc}
-
-    maps, infos = expand_rows_by_degree(rows, [degree], n_trunc, width)
-    return maps[0], infos[0]
-
-
 def renew_rows(src, maps, dst, n_trunc: int, width: float, labels=None):
     """``dst[r]^{-1} o maps[r] o src[r]`` for every row r, by one batched
     evaluate, invert and expand pass per grid of
@@ -492,8 +458,6 @@ def compose_rows(gs, fs, out_width: float, n_trunc: int, labels=None) -> list:
                 f"{x:.6g}, outside domain width {gs[r].width:.6g} of g",
                 inclusion="f(out_annulus) within domain(g)",
             )
-    if 0 in errors:
-        _raise_first(errors, labels)   # no row can fail before the first
     g_rows, f_rows = _rows_of(gs), _rows_of(fs)
 
     def sample(w):

@@ -13,7 +13,6 @@ power law ``C0 |n|^(mu-1)``.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -29,8 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .series import _real, majorants
-
-logger = logging.getLogger(__name__)
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,46 +92,34 @@ class Nerve:
         for t in triples:
             if len(t) != 3 or any(c not in charts for c in t):
                 raise NerveError(f"bad triple {t}")
-        if not self._connected():
+        if len(self._spanning_tree()) != len(charts):
             raise NerveError("underlying nerve graph is disconnected")
 
-    def _adjacency(self) -> dict:
+    def _spanning_tree(self) -> dict:
+        """Breadth-first spanning tree from the first chart, over edges taken
+        either way: each reached chart -> (parent, edge, sign of the step
+        parent -> chart), the root -> None. A chart it lacks is not
+        connected to the root."""
         adj: dict = {c: [] for c in self.charts}
         for e in self.edges:
             adj[e.src].append((e.dst, e, +1))
             adj[e.dst].append((e.src, e, -1))
-        return adj
-
-    def _connected(self) -> bool:
-        adj = self._adjacency()
-        seen = {self.charts[0]}
-        stack = [self.charts[0]]
-        while stack:
-            for nxt, _, _ in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.charts)
+        parent: dict = {self.charts[0]: None}
+        queue = [self.charts[0]]
+        for v in queue:   # the queue grows as the walk goes
+            for nxt, e, sign in adj[v]:
+                if nxt not in parent:
+                    parent[nxt] = (v, e, sign)
+                    queue.append(nxt)
+        return parent
 
     def chart_index(self, chart) -> int:
         return self.charts.index(chart)
 
     def fundamental_cycles(self) -> list:
         """One closed walk per non-tree edge, as lists of (edge, sign) steps."""
-        adj = self._adjacency()
-        root = self.charts[0]
-        parent: dict = {root: None}
-        order = [root]
-        tree_edges = set()
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for nxt, e, sign in adj[v]:
-                if nxt not in parent:
-                    parent[nxt] = (v, e, sign)
-                    tree_edges.add(e)
-                    order.append(nxt)
-                    queue.append(nxt)
+        parent = self._spanning_tree()
+        tree_edges = {step[1] for step in parent.values() if step is not None}
 
         def path_to_root(v):
             steps = []
@@ -291,11 +276,16 @@ def mode_matrix(bundle: UnitaryFlatBundle, n: int) -> np.ndarray:
     return _mode_tensor(bundle, np.array([n]))[0]
 
 
+def _rank_floor(svals: np.ndarray) -> np.ndarray:
+    """``RANK_RCOND * max(1, s_max)`` per stacked spectrum (descending
+    singular values on the last axis)."""
+    return RANK_RCOND * np.maximum(1.0, svals[..., :1])
+
+
 def _rank_deficient(svals: np.ndarray, n_charts: int) -> np.ndarray:
-    """Per stacked spectrum (descending singular values on the last axis):
-    fewer than ``n_charts`` values above ``RANK_RCOND * max(1, s_max)``."""
-    floor = RANK_RCOND * np.maximum(1.0, svals[..., :1])
-    return np.sum(svals > floor, axis=-1) < n_charts
+    """Per stacked spectrum: fewer than ``n_charts`` values above
+    :func:`_rank_floor`."""
+    return np.sum(svals > _rank_floor(svals), axis=-1) < n_charts
 
 
 @dataclass(frozen=True)
@@ -358,13 +348,16 @@ def _pseudo_inverses(bundle: UnitaryFlatBundle, modes: np.ndarray):
 
     conj(A) has the singular values of A; its SVD is the one
     ``numpy.linalg.pinv`` factors, and the pseudo-inverse is formed exactly
-    as pinv forms it, with singular values below ``RANK_RCOND * s_max``
-    dropped.
+    as pinv forms it, except that it drops the singular values at or below
+    :func:`_rank_floor` rather than ``RANK_RCOND * s_max``, so a subnormal
+    one is not inverted to inf. The two floors drop different values only
+    on a one-chart nerve, whose one singular value then lies at or below
+    ``RANK_RCOND``: the mode is rank deficient.
     """
     a = _mode_tensor(bundle, modes)
     u, s, vt = np.linalg.svd(a.conj(), full_matrices=False)
-    deficient = _rank_deficient(s, len(bundle.nerve.charts))
-    large = s > RANK_RCOND * np.max(s, axis=-1, keepdims=True, initial=0.0)
+    large = s > _rank_floor(s)
+    deficient = np.sum(large, axis=-1) < len(bundle.nerve.charts)
     s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
     pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
     return a, pinv, deficient
@@ -400,8 +393,6 @@ def solve_modes(
             f"b must have one row per mode and one entry per edge "
             f"({modes.size}, {n_edges}), got {bmat.shape}"
         )
-    if modes.size == 0:
-        return []
     a, pinv, deficient = _pseudo_inverses(bundle, modes)
     sol = (pinv @ bmat[..., None])[..., 0]
     residual = np.max(np.abs((a @ sol[..., None])[..., 0] - bmat), axis=-1,
@@ -467,8 +458,6 @@ def amplification_norms(bundle: UnitaryFlatBundle, n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         raise ValidationError("n_max must be positive")
-    if not bundle.nerve.edges:
-        return np.zeros(n_max)   # no cycles, no resonance
     return _exact_norms(bundle, np.arange(1, n_max + 1))
 
 
@@ -581,18 +570,12 @@ def fit_c0(bundle: UnitaryFlatBundle, n_max: int, mu: float) -> tuple:
     ratio is the running maximum. :func:`amplification_bounds` then prunes
     every later mode whose proven bound ratio lies below that maximum and
     which the bound proves full rank, and one stacked SVD factors the rest.
-    A pruned mode can neither set C0 nor be the first resonant mode. A
-    forest has no bound (each mode system has a kernel) and is fitted from
-    the full spectrum, with mode None.
+    A pruned mode can neither set C0 nor be the first resonant mode. On a
+    forest every mode system has a kernel, the bound proves no mode full
+    rank, and every mode is factored.
     """
     if n_max < 1:
         raise ValidationError("n_max must be positive")
-    nerve = bundle.nerve
-    if len(nerve.edges) < len(nerve.charts):
-        logger.debug("C0 fit on a forest: factoring all %d modes", n_max)
-        ratios = diophantine_ratios(np.arange(1, n_max + 1),
-                                    amplification_norms(bundle, n_max), mu)
-        return float(np.max(ratios)), None, n_max
     head = np.arange(1, min(C0_PREFIX, n_max) + 1)
     ratios = diophantine_ratios(head, _exact_norms(bundle, head), mu)
     rest = np.arange(head.size + 1, n_max + 1)

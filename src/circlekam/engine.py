@@ -252,7 +252,7 @@ def schedule(params: KamParams, m: int) -> tuple[float, float, float]:
 
 def _fit_c0(system: TransitionSystem, params: KamParams) -> tuple:
     """:func:`resolve_c0`, and the mode whose ratio sets the fitted c0 (None
-    when c0 was given or the nerve is a forest)."""
+    when c0 was given)."""
     if params.c0 is not None:
         return params, None
     c0, mode, factored = fit_c0(system.bundle(), params.n_trunc, params.mu)
@@ -340,45 +340,45 @@ class StepReport:
 
 
 # The certified inequalities of the iteration, one row each: name ->
-# (exception raised under strict_schedule, what the lhs measures).
+# (exception raised under strict_schedule, comparison of lhs with rhs, what
+# the lhs measures).
 CERTIFICATES = {
-    "initial_norm_gate": (ScheduleViolationError,
+    "initial_norm_gate": (ScheduleViolationError, "<",
                           "largest transition-hat majorant at sigma0 against the entry gate"),
-    "hat_norm_below_delta": (ScheduleViolationError,
+    "hat_norm_below_delta": (ScheduleViolationError, "<",
                              "certified transition-hat norm against the schedule gate"),
-    "coefficient_decay": (ScheduleViolationError,
+    "coefficient_decay": (ScheduleViolationError, "<=",
                           "number of hats failing the per-index decay audit"),
-    "change_reality_symmetry": (ScheduleViolationError,
+    "change_reality_symmetry": (ScheduleViolationError, "<=",
                                 "projection size of the solved change coefficients"),
-    "change_norm_power_law": (ScheduleViolationError,
+    "change_norm_power_law": (ScheduleViolationError, "<=",
                               "change-hat majorant against C1 * |f| * lambda^-mu, "
                               "at the (chart, nu) pair of largest ratio"),
-    "change_derivative_bound": (ScheduleViolationError,
+    "change_derivative_bound": (ScheduleViolationError, "<=",
                                 "log-lift derivative majorant of the changes"),
-    "annulus_nesting": (ScheduleViolationError,
+    "annulus_nesting": (ScheduleViolationError, "<",
                         "largest radial displacement of charts and transitions"),
-    "phase_invariance": (ScheduleViolationError,
+    "phase_invariance": (ScheduleViolationError, "<=",
                          "multiplier phase drift across the renewal"),
-    "tail_budget": (TruncationError, "discarded spectral tail mass"),
-    "contraction_claim": (ConvergenceViolationError,
+    "tail_budget": (TruncationError, "<=", "discarded spectral tail mass"),
+    "contraction_claim": (ConvergenceViolationError, "<",
                           "renewed hat norm against the next schedule gate"),
 }
 
 
-def _certify(report: StepReport, name: str, lhs, rhs, strict_ineq: bool = False) -> None:
-    """Check row ``name`` of :data:`CERTIFICATES`, ``lhs < rhs`` if
-    ``strict_ineq`` else ``lhs <= rhs``, and record it on ``report``. It
-    passes only when both sides are finite and the inequality holds. A
-    failure under ``report.strict`` raises the row's exception."""
+def _certify(report: StepReport, name: str, lhs, rhs) -> None:
+    """Check row ``name`` of :data:`CERTIFICATES`, ``lhs < rhs`` or ``lhs <=
+    rhs`` as the row says, and record it on ``report``. It passes only when
+    both sides are finite and the inequality holds. A failure under
+    ``report.strict`` raises the row's exception."""
     lhs, rhs = float(lhs), float(rhs)
-    holds = lhs < rhs if strict_ineq else lhs <= rhs
+    error, op, _ = CERTIFICATES[name]
+    holds = lhs < rhs if op == "<" else lhs <= rhs
     passed = math.isfinite(lhs) and math.isfinite(rhs) and holds
     report.certificates[name] = CertRecord(name, passed, lhs, rhs)
     if not passed and report.strict:
-        op = "<" if strict_ineq else "<="
-        raise CERTIFICATES[name][0](
-            name, f"{name}: {lhs:.6e} !{op} {rhs:.6e} at step {report.m}",
-            step=report.m, lhs=lhs, rhs=rhs)
+        raise error(name, f"{name}: {lhs:.6e} !{op} {rhs:.6e} at step {report.m}",
+                    step=report.m, lhs=lhs, rhs=rhs)
 
 
 CSV_HEADER = "m,sigma,eta,delta,max_hat_norm,worst_mode_residual,tail_mass,wall_ms"
@@ -448,8 +448,9 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
     """Compare every edge's certified hat majorant at sigma0 against the gate
     ``min(eta0, eta0^(mu+1) / ((1 + e^sigma0) C1 mu))``. Pure report. A
     fitted C0 is reported with its mode and the loop closest to resonance
-    at that mode."""
+    at that mode; on a forest no loop names the mode, and both are None."""
     params, c0_mode = _fit_c0(system, params)
+    c0_loop = None if c0_mode is None else closest_loop(system.bundle(), c0_mode)
     gate = float(params.delta0)
     majs = majorants([f.hat for f in system.transitions], params.sigma0).tolist()
     per_edge = [(str(e), maj, gate - maj, maj < gate)
@@ -461,8 +462,8 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
         c1=float(params.c1),
         eta0=float(params.eta0),
         per_edge=tuple(per_edge),
-        c0_mode=c0_mode,
-        c0_loop=None if c0_mode is None else closest_loop(system.bundle(), c0_mode),
+        c0_mode=None if c0_loop is None else c0_mode,
+        c0_loop=c0_loop,
     )
 
 
@@ -546,7 +547,7 @@ def kam_step(
     report.max_hat_empirical = float(np.max(
         empirical_sup_norms(hats, sigma_m * (1.0 - 1e-9), max(2 * degree + 1, 256)),
         initial=0.0))
-    _certify(report, "hat_norm_below_delta", max_maj, delta_m, strict_ineq=True)
+    _certify(report, "hat_norm_below_delta", max_maj, delta_m)
 
     # coefficient decay audit (with the majorant itself as the norm bound)
     decay_failures = sum(not audit.passed for audit in decay_checks(hats, entry))
@@ -584,7 +585,7 @@ def kam_step(
     # changes at sigma_m - 4 eta_m and sigma_m - eta_m, the transitions at
     # sigma_m - 3 eta_m
     nest = np.concatenate([power[:, [3, 0]].ravel(), nest_maps])
-    _certify(report, "annulus_nesting", np.max(nest), eta_m, strict_ineq=True)
+    _certify(report, "annulus_nesting", np.max(nest), eta_m)
     lap("certificates")
 
     # renewal: psi_k^{-1} o f o psi_j of every edge on the shrunk annulus, in
@@ -604,7 +605,7 @@ def kam_step(
     new_system = TransitionSystem(system.nerve, tuple(new_transitions), sigma_next)
     new_maj = new_system.max_hat_majorant(sigma_next)
     lap("renewal")
-    _certify(report, "contraction_claim", new_maj, delta_next, strict_ineq=True)
+    _certify(report, "contraction_claim", new_maj, delta_next)
 
     return new_system, psis, report
 
@@ -665,13 +666,6 @@ class Conjugacy:
             raise SchemaError(f"conjugacy document missing field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"bad conjugacy document: {exc}") from exc
-        finite = (math.isfinite(final_width)
-                  and all(math.isfinite(p) for p in bundle.phases)
-                  and all(math.isfinite(phi.phase) and np.all(np.isfinite(phi.hat.coeffs))
-                          for phi in charts.values()))
-        if not finite:
-            raise SchemaError("conjugacy document has a non-finite width, phase "
-                              "or hat coefficient")
         return cls(charts=charts, linear_cocycle=bundle, final_width=final_width)
 
 
@@ -691,35 +685,29 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     """Iterate until the certified hat norm drops below tol or max_iter hits.
 
     The per-chart conjugacy is composed step by step; any hard error raised
-    mid-iteration carries the trace so far on its ``trace`` attribute. The
-    level's hat majorant is the ``initial_norm_gate`` lhs at level 0 and the
-    previous step's ``contraction_claim`` lhs from level 1 on: the same
-    majorant at the same width.
+    by the gate or mid-iteration carries the trace so far on its ``trace``
+    attribute. The level's hat majorant is the ``initial_norm_gate`` lhs at
+    level 0 and the previous step's ``contraction_claim`` lhs from level 1
+    on: the same majorant at the same width.
     """
     trace = IterationTrace(entry=StepReport(m=0, strict=params.strict_schedule))
+    initial = system
     try:
         _check_truncations(system, params.n_trunc)
         gate = gate_check(system, params)
         if params.c0 is None:
             params = params.with_c0(gate.c0_used)
         _certify(trace.entry, "initial_norm_gate",
-                 np.max([row[1] for row in gate.per_edge], initial=0.0),
-                 gate.gate_value, strict_ineq=True)
-    except Exception as exc:
-        exc.trace = trace
-        raise
-
-    initial = system
-    phis = {c: identity_map(params.sigma0) for c in system.nerve.charts}
-    max_maj = trace.entry.certificates["initial_norm_gate"].lhs
-    for m, (sigma_m, eta_m, delta_m) in enumerate(_levels(params)):
-        if max_maj < params.tol or m == params.max_iter:
-            trace.rows.append(StepReport(m, sigma_m, eta_m, delta_m, max_maj))
-            converged = max_maj < params.tol
-            steps = m
-            break
-        t0 = time.perf_counter()
-        try:
+                 np.max([row[1] for row in gate.per_edge], initial=0.0), gate.gate_value)
+        phis = {c: identity_map(params.sigma0) for c in system.nerve.charts}
+        max_maj = trace.entry.certificates["initial_norm_gate"].lhs
+        for m, (sigma_m, eta_m, delta_m) in enumerate(_levels(params)):
+            if max_maj < params.tol or m == params.max_iter:
+                trace.rows.append(StepReport(m, sigma_m, eta_m, delta_m, max_maj))
+                converged = max_maj < params.tol
+                steps = m
+                break
+            t0 = time.perf_counter()
             system, psis, report = kam_step(system, m, params)
             t_compose = time.perf_counter()
             if m == 0:
@@ -731,14 +719,14 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
                 phis = dict(zip(charts, compose_rows(
                     [phis[c] for c in charts], [psis[c] for c in charts],
                     system.width, params.n_trunc, labels=[f"chart {c}" for c in charts])))
-        except Exception as exc:
-            exc.trace = trace
-            raise
-        t1 = time.perf_counter()
-        report.phase_ms["compose"] = (t1 - t_compose) * 1000.0
-        report.wall_ms = (t1 - t0) * 1000.0
-        trace.rows.append(report)
-        max_maj = report.certificates["contraction_claim"].lhs
+            t1 = time.perf_counter()
+            report.phase_ms["compose"] = (t1 - t_compose) * 1000.0
+            report.wall_ms = (t1 - t0) * 1000.0
+            trace.rows.append(report)
+            max_maj = report.certificates["contraction_claim"].lhs
+    except Exception as exc:
+        exc.trace = trace
+        raise
 
     conj = Conjugacy(
         charts=phis,

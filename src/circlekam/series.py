@@ -14,7 +14,7 @@ analytic on a wider annulus must exhibit (``decay_check``).
 
 from __future__ import annotations
 
-import copy
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -36,13 +36,17 @@ def _integral(value) -> int:
 
 
 def _real(value) -> float:
-    """A JSON number, int or float; a boolean is not one."""
+    """A finite JSON number, int or float; a boolean is not one, nor is
+    Infinity, -Infinity or NaN."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
     try:
-        return float(value)
+        out = float(value)
     except OverflowError as exc:   # an int beyond float range
         raise ValueError(f"{value} is out of float range") from exc
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
 
 
 def _boolean(value) -> bool:
@@ -220,13 +224,6 @@ class SeriesRows:
         k = max((s.degree for s in hats), default=0)
         return cls(np.array([s.dense(k) for s in hats]).reshape(-1, 2 * k + 1),
                    [s.width for s in hats])
-
-    def take(self, rows) -> "SeriesRows":
-        """The listed rows, keeping the block's Horner range."""
-        out = copy.copy(self)
-        out.coeffs, out.widths = self.coeffs[rows], self.widths[rows]
-        out.inner, out.outer = self.inner[rows], self.outer[rows]
-        return out
 
     def outside(self, w: np.ndarray) -> np.ndarray:
         """Per row: some point of ``w[r]`` lies outside the open annulus

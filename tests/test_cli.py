@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -429,7 +430,11 @@ MALFORMED_NUMBERS = {
     "index=-2.5": (("edges", 0, "hat", "coeffs", 0, 0), -2.5),
     "tol=true": (("params", "tol"), True),
     "tol=10**400": (("params", "tol"), 10**400),
+    # the JSON token Infinity, once accepted: the run converged in 0 steps
+    "tol=Infinity": (("params", "tol"), math.inf),
     "C0=true": (("params", "C0"), True),
+    # once accepted: the --no-strict run converged in 1 step
+    "C0=Infinity": (("params", "C0"), math.inf),
     "width=true": (("width",), True),
     "phase=true": (("edges", 0, "phase"), True),
 }

@@ -115,12 +115,14 @@ one_edit = st.tuples(st.integers(0, 10**6), st.sampled_from(HOSTILE)).map(lambda
 @example(edits=[(("params", "N"), True)], command="rotnum")
 @example(edits=[(("params", "max_iter"), 2.9)], command="run")
 # hat truncations and indices cut by int(), numbers given as booleans, an
-# integer past float range
+# integer past float range, an infinite tol or C0
 @example(edits=[(("edges", 0, "hat", "N"), 64.7)], command="run")
 @example(edits=[(("edges", 0, "hat", "N"), True)], command="run")
 @example(edits=[(("edges", 0, "hat", "coeffs", 0, 0), -2.5)], command="run")
 @example(edits=[(("params", "tol"), True)], command="run")
 @example(edits=[(("params", "tol"), 10**400)], command="run")
+@example(edits=[(("params", "tol"), math.inf)], command="run")
+@example(edits=[(("params", "C0"), math.inf)], command="run")
 @example(edits=[(("params", "C0"), True)], command="gate")
 @example(edits=[(("width",), True)], command="run")
 @example(edits=[(("edges", 0, "phase"), True)], command="run")

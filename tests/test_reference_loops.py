@@ -14,6 +14,8 @@ and the stacked solve uses a pseudo-inverse instead of ``lstsq``; those
 match to round-off.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,11 +45,12 @@ from circlekam.circle import (
     ExpandInfo,
     _tracked_log,
     apply_inverse,
+    apply_inverses,
     eval_diffeo,
-    expand_by_degree,
     expand_detailed,
+    expand_rows_by_degree,
     renew_rows,
-    symmetrize,
+    symmetry_defect,
     unit_circle,
 )
 from circlekam.cocycle import (
@@ -60,6 +63,7 @@ from circlekam.cocycle import (
     _rank_deficient,
     _resonant_cycle,
     amplification_bounds,
+    amplification_norms,
     fit_c0,
     mode_matrix,
     solve_modes,
@@ -68,12 +72,39 @@ from circlekam.engine import resolve_c0
 from circlekam.series import (
     AnnulusDomainError,
     DecayReport,
+    SeriesRows,
     coeffs_from_circle,
     decay_check,
     decay_checks,
     eval_series,
     majorants,
 )
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+
+def symmetrize(hat):
+    """Project onto the reality-symmetric subspace; return (series, defect)."""
+    arr = 0.5 * (hat.coeffs - np.conj(hat.coeffs[::-1]))
+    return LaurentSeries(arr, hat.width), symmetry_defect(hat)
+
+
+def expand_by_degree(sample, degree, n_trunc, width):
+    """The one-row case of ``expand_rows_by_degree``: the map the callable
+    ``sample`` evaluates on unit-circle points, on a grid sized by
+    ``degree``; an attempt below ``n_trunc`` whose sample raises a
+    :class:`CircleKamError` is retried at twice the truncation."""
+    def rows(w):
+        try:
+            return np.asarray(sample(w), dtype=complex)[None], {}
+        except CircleKamError as exc:
+            return np.full((1, w.size), np.nan, dtype=complex), {0: exc}
+
+    maps, infos = expand_rows_by_degree(rows, [degree], n_trunc, width)
+    return maps[0], infos[0]
+
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -687,7 +718,7 @@ def _c0_systems(bundle):
                             1.0)
 
 
-def _assert_c0_as_full_spectrum(bundle, n_max, mu, forest=False):
+def _assert_c0_as_full_spectrum(bundle, n_max, mu):
     """The engine's C0, and the mode fit_c0 names, against the dict fit on
     the full spectrum; a resonance raises as the full spectrum raises."""
     params = KamParams(sigma0=1.0, eta0=0.01, mu=mu, n_trunc=n_max)
@@ -701,7 +732,7 @@ def _assert_c0_as_full_spectrum(bundle, n_max, mu, forest=False):
         return
     want = fit_diophantine_loop(spectrum, mu)
     assert resolve_c0(_c0_systems(bundle), params).c0 == want.c0
-    assert fit_c0(bundle, n_max, mu)[:2] == (want.c0, None if forest else want.argmax_mode)
+    assert fit_c0(bundle, n_max, mu)[:2] == (want.c0, want.argmax_mode)
     assert fit_diophantine(spectrum, mu) == want
 
 
@@ -719,7 +750,7 @@ def test_array_c0_equals_dict_fit_on_genus2(make, phi1, phi2, n_max, mu):
        st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=5),
        st.integers(1, 512), st.sampled_from([2.0, 1.5, 2.5, 3.7]))
 def test_array_c0_equals_dict_fit_on_forests(make, phases, n_max, mu):
-    _assert_c0_as_full_spectrum(make(phases), n_max, mu, forest=make is forest_bundle)
+    _assert_c0_as_full_spectrum(make(phases), n_max, mu)
 
 
 def test_one_matrix_svd_is_the_same_in_any_batch():
@@ -848,3 +879,47 @@ def test_batched_renewal_raises_as_per_edge(bad_chart):
     edge = str(ref.value).split(":")[0]
     assert edge.startswith("edge U0->" + bad_chart)
     assert str(got.value).split(":")[0] == edge
+
+
+def test_log_lift_rows_stop_at_their_own_sweep(monkeypatch):
+    # the rows take 32 sweeps, 2 sweeps, and 50 sweeps plus 2 Newton sweeps
+    # (two evaluations each); a finished row keeps its value while the
+    # others go on, so each row equals its one-row solve bit for bit
+    maps = [
+        CircleDiffeo(0.7, LaurentSeries.from_coeffs(
+            {1: 0.12 + 0.05j, -1: -0.12 + 0.05j, 3: 0.02j, -3: 0.02j}, 1.0)),
+        CircleDiffeo(2.1, LaurentSeries.from_coeffs({1: 1e-9, -1: -1e-9}, 1.0)),
+        CircleDiffeo(4.0, LaurentSeries.from_coeffs({1: 0.3, -1: -0.3}, 1.0)),
+    ]
+    u = unit_circle(256) * np.exp(1j * np.array([0.0, 0.1, 0.2]))[:, None]
+    calls = []
+    horner = SeriesRows.__call__
+
+    def counted(rows, w):
+        calls.append(w.shape)
+        return horner(rows, w)
+
+    monkeypatch.setattr(SeriesRows, "__call__", counted)
+    alone, sweeps = [], []
+    for f, row in zip(maps, u):
+        calls.clear()
+        alone.append(apply_inverse(f, row))
+        sweeps.append(len(calls))
+    assert sweeps == [32, 2, 54]
+    for got, want in zip(apply_inverses(maps, u), alone):
+        assert np.array_equal(got, want)
+
+
+def test_subnormal_loop_phase_raises_without_warnings():
+    # one chart, one loop of phase 1e-310: mode 1 has the subnormal singular
+    # value 1e-310, which is dropped at the rank floor, not inverted to inf
+    bundle = single_chart_bundle([1e-310])
+    calls = (lambda: fit_c0(bundle, 16, 2.0), lambda: amplification_norms(bundle, 16),
+             lambda: solve_modes(bundle, [1, 2], [[1.0], [0.5]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ResonantModeError) as info:
+                call()
+            err = info.value
+            assert (err.mode, err.loop, err.holonomy) == (1, ["+U0->U0[loop0]"], 1e-310)
