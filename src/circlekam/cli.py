@@ -126,7 +126,7 @@ def _cmd_rotnum(args) -> int:
 
 def _cmd_dioph(args) -> int:
     scenario = Scenario.load(args.scenario)
-    n_max = args.modes or scenario.params.n_trunc
+    n_max = args.modes if args.modes is not None else scenario.params.n_trunc
     mu = args.mu if args.mu is not None else scenario.params.mu
     spectrum = amplification_spectrum(scenario.system.bundle(), n_max)
     doc = fit_diophantine(spectrum, mu).to_json_dict()

@@ -36,11 +36,6 @@ TWO_PI = 2.0 * np.pi
 # reference even for 1x1 systems.
 RANK_RCOND = 1e-12
 
-# Modes 1..C0_PREFIX whose norms the C0 fit factors before the proven bound
-# prunes the rest. The largest ratio A_n / n^(mu-1) tends to sit at a low
-# mode, so this prefix usually holds it or comes close.
-C0_PREFIX = 4
-
 # Round-off margin of the pruning bound, in units of u (C + E) for C charts
 # and E edges, u the unit round-off. Forming ``G_n`` from the floating mode
 # entries and factoring it as L D L^H perturb it by at most about
@@ -357,10 +352,9 @@ def _pseudo_inverses(bundle: UnitaryFlatBundle, modes: np.ndarray):
     a = _mode_tensor(bundle, modes)
     u, s, vt = np.linalg.svd(a.conj(), full_matrices=False)
     large = s > _rank_floor(s)
-    deficient = np.sum(large, axis=-1) < len(bundle.nerve.charts)
     s_inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
     pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
-    return a, pinv, deficient
+    return a, pinv, _rank_deficient(s, len(bundle.nerve.charts))
 
 
 def solve_modes(
@@ -436,8 +430,6 @@ def solve_mode(
 def _exact_norms(bundle: UnitaryFlatBundle, modes: np.ndarray) -> np.ndarray:
     """:func:`amplification_norms` of the listed positive modes, from one
     stacked SVD; raises on the first resonant one."""
-    if modes.size == 0:
-        return np.zeros(0)
     _, pinv, deficient = _pseudo_inverses(bundle, modes)
     first = np.flatnonzero(deficient)
     if first.size:
@@ -566,25 +558,26 @@ def fit_c0(bundle: UnitaryFlatBundle, n_max: int, mu: float) -> tuple:
 
     C0 is bit for bit the maximum of :func:`diophantine_ratios` over
     :func:`amplification_norms`, and a resonant nerve raises the same
-    error. The norms of modes 1..C0_PREFIX are factored first; their largest
-    ratio is the running maximum. :func:`amplification_bounds` then prunes
-    every later mode whose proven bound ratio lies below that maximum and
-    which the bound proves full rank, and one stacked SVD factors the rest.
-    A pruned mode can neither set C0 nor be the first resonant mode. On a
-    forest every mode system has a kernel, the bound proves no mode full
-    rank, and every mode is factored.
+    error. :func:`amplification_bounds` bounds every mode; the seed is the
+    mode with the largest bound ratio among those the bound proves full
+    rank, or mode 1 if it proves none. The seed's exact ratio is the running
+    maximum: every mode whose bound ratio lies below it and which the bound
+    proves full rank is pruned, and one stacked SVD factors the rest, the
+    seed among them. A pruned mode can neither set C0 nor be the first
+    resonant mode, and the seed is full rank or mode 1, so factoring it
+    first reports no other resonance. On a forest the bound proves no mode
+    full rank, and every mode is factored.
     """
-    if n_max < 1:
-        raise ValidationError("n_max must be positive")
-    head = np.arange(1, min(C0_PREFIX, n_max) + 1)
-    ratios = diophantine_ratios(head, _exact_norms(bundle, head), mu)
-    rest = np.arange(head.size + 1, n_max + 1)
+    if n_max < 1 or not 1 < mu < np.inf:
+        raise ValidationError(f"need n_max >= 1 and 1 < mu < inf, got {n_max}, {mu}")
+    modes = np.arange(1, n_max + 1)
     powers = _mode_powers(n_max, mu - 1.0)
-    bound, full_rank = amplification_bounds(bundle, rest)
-    candidates = rest[~(full_rank & (bound / powers[rest - 1] < np.max(ratios)))]
-    modes = np.concatenate([head, candidates])
-    ratios = np.concatenate(
-        [ratios, _exact_norms(bundle, candidates) / powers[candidates - 1]])
+    bound, full_rank = amplification_bounds(bundle, modes)
+    bound_ratios = bound / powers
+    seed = modes[[np.argmax(np.where(full_rank, bound_ratios, -np.inf))]]
+    running = (_exact_norms(bundle, seed) / powers[seed - 1])[0]
+    modes = modes[~(full_rank & (bound_ratios < running))]
+    ratios = _exact_norms(bundle, modes) / powers[modes - 1]
     best = int(np.argmax(ratios))
     return float(ratios[best]), int(modes[best]), int(modes.size)
 

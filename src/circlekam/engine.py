@@ -116,8 +116,8 @@ class KamParams:
     strict_schedule: bool = True
 
     def __post_init__(self):
-        if not (self.sigma0 > 0):
-            raise ValidationError(f"sigma0 must be positive, got {self.sigma0}")
+        if not (0 < self.sigma0 < math.inf):
+            raise ValidationError(f"sigma0 must be finite and positive, got {self.sigma0}")
         if not (self.mu > 1):
             raise ValidationError(f"mu must exceed 1, got {self.mu}")
         if self.eta0 is None:
@@ -127,10 +127,10 @@ class KamParams:
             raise ValidationError(
                 f"eta0 must lie in (0, {bound:.6g}), got {self.eta0}"
             )
-        if self.c0 is not None and not (self.c0 > 0):
-            raise ValidationError(f"c0 must be positive, got {self.c0}")
-        if self.n_trunc < 1 or self.max_iter < 1 or not (self.tol > 0):
-            raise ValidationError("n_trunc, max_iter must be >= 1 and tol > 0")
+        if self.c0 is not None and not (0 < self.c0 < math.inf):
+            raise ValidationError(f"c0 must be finite and positive, got {self.c0}")
+        if self.n_trunc < 1 or self.max_iter < 1 or not (0 < self.tol < math.inf):
+            raise ValidationError("n_trunc, max_iter must be >= 1 and tol finite and > 0")
         # a sigma0 or mu whose schedule constants leave float range is
         # rejected here, before a run meets the overflow
         try:
@@ -264,9 +264,8 @@ def _fit_c0(system: TransitionSystem, params: KamParams) -> tuple:
 def resolve_c0(system: TransitionSystem, params: KamParams) -> KamParams:
     """Fit c0 from the amplification spectrum when it is unset:
     :func:`circlekam.cocycle.fit_c0`, the largest ``A_n / n^(mu-1)`` over
-    n = 1..N, bit for bit the C0 that
-    :func:`circlekam.cocycle.fit_diophantine` finds on the full spectrum,
-    from the few modes a proven bound cannot rule out."""
+    n = 1..N, bit for bit the C0 of :func:`circlekam.cocycle.fit_diophantine`
+    on the full spectrum. The result is what :func:`kam_step` needs."""
     return _fit_c0(system, params)[0]
 
 
@@ -509,12 +508,12 @@ def kam_step(
     system: TransitionSystem, m: int, params: KamParams
 ) -> tuple[TransitionSystem, dict, StepReport]:
     """One renewal step at level m; returns the shrunk-width system, the
-    per-chart coordinate changes, and the certificate report.
+    per-chart coordinate changes, and the certificate report. ``params``
+    must carry a fitted C0 (:func:`resolve_c0`); the step does not fit it.
 
     With ``strict_schedule`` the first failed certificate raises; otherwise
     failures are recorded in the report and the step completes anyway.
     """
-    params = resolve_c0(system, params)
     (sigma_m, eta_m, delta_m), (sigma_next, _, delta_next) = itertools.islice(
         _levels(params, m), 2)
     if abs(system.width - sigma_m) > 1e-9:

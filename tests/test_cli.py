@@ -160,7 +160,7 @@ class TestGate:
         assert main(["--log-level", "debug", "gate", str(pair_scenario)]) == 0
         loud = capsys.readouterr()
         assert loud.out == quiet.out and quiet.err == ""
-        assert "DEBUG circlekam.engine: C0 fit: factored 5 of 64 modes" in loud.err
+        assert "DEBUG circlekam.engine: C0 fit: factored 3 of 64 modes" in loud.err
 
 
 class TestRotnum:
@@ -295,6 +295,11 @@ class TestDioph:
             n = int(n_str)
             want = 1.0 / abs(2.0 * np.sin(np.pi * n * GOLDEN))
             assert abs(a - want) <= 1e-10 * want
+
+    def test_zero_modes_exit_2(self, flagship_scenario, capsys):
+        # 0 once counted as unset and ran the default N
+        assert main(["dioph", str(flagship_scenario), "--modes", "0"]) == 2
+        assert read_stdout_json(capsys)["outcome"] == "validation_error"
 
     def test_resonant_spectrum_exits_3(self, resonant_scenario, capsys):
         assert main(["dioph", str(resonant_scenario), "--modes", "8"]) == 3

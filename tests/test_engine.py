@@ -58,6 +58,14 @@ class TestParams:
         with pytest.raises(ValidationError):
             _ = p.c1
 
+    @pytest.mark.parametrize("field", ["sigma0", "tol", "c0"])
+    def test_infinite_run_constants_rejected(self, field):
+        # tol=inf once converged in 0 steps, and c0=inf ran non-strict past
+        # every violated certificate
+        with pytest.raises(ValidationError) as info:
+            KamParams(**{"sigma0": 1.0, "eta0": 0.05, field: math.inf})
+        assert "finite" in str(info.value)
+
     @pytest.mark.parametrize("sigma0,mu", [(1.0, 2.0), (0.14126984126984127, 2.0),
                                            (0.7, 2.5), (40.0, 3.0)])
     def test_default_eta0_is_half_the_bound(self, sigma0, mu):
@@ -257,6 +265,13 @@ class TestKamStep:
         norm1 = new.max_hat_majorant(sigma0 - 4 * eta0)
         bound = (1 + math.exp(1.0)) * params.c1 * norm0**2 / eta0**3
         assert norm1 <= bound
+
+    def test_unfitted_params_raise(self):
+        # the step takes the C0 the run fitted once; it never fits its own
+        sc = golden_scenario(5e-7)
+        assert sc.params.c0 is None
+        with pytest.raises(ValidationError, match="c0 is unset"):
+            kam_step(sc.system, 0, sc.params)
 
     def test_strict_gate_abort(self):
         sc = golden_scenario(1e-4, strict=True)

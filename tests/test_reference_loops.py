@@ -348,13 +348,18 @@ def annulus_points(rng, width, count):
     return radius * np.exp(2j * np.pi * rng.random(count))
 
 
+def star_bundle(phases):
+    """Charts U0..Uk, k = len(phases), and per j an edge U0->Uj "+" of phase
+    ``phases[j-1]`` and an edge U0->Uj "-" of phase 0: k loops through U0,
+    the shape of ``build_genus2`` with k maps."""
+    charts = tuple(f"U{j}" for j in range(len(phases) + 1))
+    edges = tuple(Edge("U0", c, label) for c in charts[1:] for label in "+-")
+    return UnitaryFlatBundle(Nerve(charts, edges),
+                             tuple(p for phi in phases for p in (phi, 0.0)))
+
+
 def genus2_bundle(phi1, phi2):
-    nerve = Nerve(
-        ("U0", "U1", "U2"),
-        (Edge("U0", "U1", "+"), Edge("U0", "U1", "-"),
-         Edge("U0", "U2", "+"), Edge("U0", "U2", "-")),
-    )
-    return UnitaryFlatBundle(nerve, (phi1, 0.0, phi2, 0.0))
+    return star_bundle([phi1, phi2])
 
 
 def forest_bundle(phases):
@@ -737,11 +742,16 @@ def _assert_c0_as_full_spectrum(bundle, n_max, mu):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([genus2_bundle, single_chart_bundle]),
-       st.floats(0.0, TWO_PI, exclude_max=True), st.floats(0.0, TWO_PI, exclude_max=True),
+@given(st.sampled_from([genus2_bundle, single_chart_bundle, star_bundle]),
+       st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=2, max_size=16),
        st.integers(1, 1024), st.sampled_from([2.0, 1.5, 2.5, 3.7]))
-def test_array_c0_equals_dict_fit_on_genus2(make, phi1, phi2, n_max, mu):
-    bundle = make(phi1, phi2) if make is genus2_bundle else make([phi1])
+def test_array_c0_equals_dict_fit_on_genus2(make, phases, n_max, mu):
+    """Genus-2 and one-chart nerves up to N = 1024, and star nerves with 2 to
+    16 loops up to N = 256."""
+    if make is star_bundle:
+        bundle, n_max = make(phases), min(n_max, 256)
+    else:
+        bundle = make(*phases[:2]) if make is genus2_bundle else make(phases[:1])
     _assert_c0_as_full_spectrum(bundle, n_max, mu)
 
 
@@ -782,17 +792,25 @@ def near_resonant_phases(draw, count):
 
 @st.composite
 def bound_nerves(draw):
-    kind = draw(st.sampled_from(["genus2", "single", "four"]))
+    """A nerve and a truncation N: up to 2048, or up to 256 on a star nerve
+    with 2 to 16 loops, whose full spectrum costs up to 32 edges a mode."""
+    kind = draw(st.sampled_from(["genus2", "single", "four", "star"]))
+    if kind == "star":
+        phases = draw(near_resonant_phases(draw(st.integers(2, 16))))
+        return star_bundle(phases), draw(st.integers(1, 256))
     if kind == "genus2":
-        return genus2_bundle(*draw(near_resonant_phases(2)))
-    if kind == "single":
-        return single_chart_bundle(draw(near_resonant_phases(draw(st.integers(1, 2)))))
-    return four_chart_bundle(draw(near_resonant_phases(6)))
+        bundle = genus2_bundle(*draw(near_resonant_phases(2)))
+    elif kind == "single":
+        bundle = single_chart_bundle(draw(near_resonant_phases(draw(st.integers(1, 2)))))
+    else:
+        bundle = four_chart_bundle(draw(near_resonant_phases(6)))
+    return bundle, draw(st.integers(1, 2048))
 
 
 @settings(max_examples=60, deadline=None)
-@given(bound_nerves(), st.integers(1, 2048), st.sampled_from([2.0, 1.5, 3.7]))
-def test_pruning_bound_holds_and_proves_rank(bundle, n_max, mu):
+@given(bound_nerves(), st.sampled_from([2.0, 1.5, 3.7]))
+def test_pruning_bound_holds_and_proves_rank(nerve, mu):
+    bundle, n_max = nerve
     modes = np.arange(1, n_max + 1)
     _, pinv, deficient = _pseudo_inverses(bundle, modes)
     norms = np.max(np.sum(np.abs(pinv), axis=-1), axis=-1)
