@@ -69,14 +69,18 @@ class CircleDiffeo:
     hat: LaurentSeries
 
     def __post_init__(self):
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
+        phase = float(self.phase)
+        if not cmath.isfinite(phase):
+            raise NotACircleMapError(f"phase {phase!r} is not finite")
+        object.__setattr__(self, "phase", phase % TWO_PI)
+        # both tests fail closed: a NaN or infinite coefficient fails one
         c0 = self.hat.coeff(0)
-        if abs(c0) > 1e-12:
+        if not abs(c0) <= 1e-12:
             raise NotACircleMapError(
                 f"hat series has nonzero constant term {c0!r}"
             )
         defect = symmetry_defect(self.hat)
-        if defect > SYMMETRY_TOL:
+        if not defect <= SYMMETRY_TOL:
             raise NotACircleMapError(
                 f"reality symmetry defect {defect:.3e} exceeds {SYMMETRY_TOL:.0e}"
             )
@@ -100,9 +104,11 @@ class CircleDiffeo:
 
 
 def symmetry_defect(hat: LaurentSeries) -> float:
-    """Max over n of ``|c_n + conj(c_{-n})|`` (n = 0 included)."""
+    """Max over n of ``|c_n + conj(c_{-n})|`` (n = 0 included); NaN when
+    the coefficients hold a NaN, or infinities of opposite sign at n, -n."""
     flipped = np.conj(hat.coeffs[::-1])
-    return float(np.max(np.abs(hat.coeffs + flipped))) if hat.coeffs.size else 0.0
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(hat.coeffs + flipped))) if hat.coeffs.size else 0.0
 
 
 def identity_map(width: float, n_trunc: int = 0) -> CircleDiffeo:

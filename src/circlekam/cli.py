@@ -25,7 +25,7 @@ from pathlib import Path
 from . import engine
 from .circle import ROTATION_ITERS
 from .cocycle import amplification_spectrum, fit_diophantine
-from .errors import CertificateError, CircleKamError, SchemaError
+from .errors import CertificateError, CircleKamError, SchemaError, ValidationError
 from .scenarios import Scenario
 
 EXIT_OK = 0
@@ -63,12 +63,15 @@ def _emit(doc: dict) -> None:
 
 
 def _write(path: Path, doc: dict | str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(doc if isinstance(doc, str) else _dumps(doc))
 
 
 def _cmd_run(args) -> int:
     out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use --out {out_dir} as a directory: {exc}") from exc
     try:
         scenario = Scenario.load(args.scenario)
         if args.no_strict:
@@ -142,7 +145,7 @@ def _cmd_verify(args) -> int:
         doc = json.loads(Path(args.conjugacy).read_text())
         conj = engine.Conjugacy.from_json_dict(doc)
         residual = conj.residual(scenario.system, samples=args.samples)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(str(exc)) from exc
     ok = residual <= args.tol
     _emit({

@@ -61,11 +61,13 @@ class Edge:
 @dataclass(frozen=True)
 class Nerve:
     """Covering nerve: chart ids, oriented multi-edges, and the chart triples
-    with nonempty triple overlap."""
+    with nonempty triple overlap; ``ends`` holds each edge's (src, dst) chart
+    indices, read-only. It alone reads and writes its document form."""
 
     charts: tuple
     edges: tuple
     triples: tuple = ()
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         charts = tuple(self.charts)
@@ -89,6 +91,28 @@ class Nerve:
                 raise NerveError(f"bad triple {t}")
         if len(self._spanning_tree()) != len(charts):
             raise NerveError("underlying nerve graph is disconnected")
+        index = {c: i for i, c in enumerate(charts)}
+        ends = np.array([(index[e.src], index[e.dst]) for e in edges], dtype=int)
+        ends = ends.reshape(len(edges), 2)
+        ends.setflags(write=False)
+        object.__setattr__(self, "ends", ends)
+
+    def to_json_dict(self, per_edge) -> dict:
+        """The document form; each edge's own fields, one dict per edge from
+        ``per_edge``, join its ``from``, ``to`` and ``label``."""
+        return {
+            "charts": list(self.charts),
+            "edges": [{"from": e.src, "to": e.dst, "label": e.label, **own}
+                      for e, own in zip(self.edges, per_edge)],
+            "triples": [list(t) for t in self.triples],
+        }
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "Nerve":
+        """The nerve of a :meth:`to_json_dict` document; no ``triples`` is none."""
+        return cls(tuple(doc["charts"]),
+                   tuple(Edge(e["from"], e["to"], e["label"]) for e in doc["edges"]),
+                   tuple(tuple(t) for t in doc.get("triples", [])))
 
     def _spanning_tree(self) -> dict:
         """Breadth-first spanning tree from the first chart, over edges taken
@@ -174,23 +198,12 @@ class UnitaryFlatBundle:
         return self.phases[self.nerve.edges.index(edge)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "charts": list(self.nerve.charts),
-            "edges": [
-                {"from": e.src, "to": e.dst, "label": e.label, "phase": p}
-                for e, p in zip(self.nerve.edges, self.phases)
-            ],
-            "triples": [list(t) for t in self.nerve.triples],
-        }
+        return self.nerve.to_json_dict({"phase": p} for p in self.phases)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "UnitaryFlatBundle":
-        nerve = Nerve(
-            charts=tuple(doc["charts"]),
-            edges=tuple(Edge(e["from"], e["to"], e["label"]) for e in doc["edges"]),
-            triples=tuple(tuple(t) for t in doc.get("triples", [])),
-        )
-        return cls(nerve, tuple(_real(e["phase"]) for e in doc["edges"]))
+        return cls(Nerve.from_json_dict(doc),
+                   tuple(_real(e["phase"]) for e in doc["edges"]))
 
 
 @dataclass(frozen=True)
@@ -212,12 +225,12 @@ class TransitionSystem:
                     f"transition on {e} has width {f.width:.6g} below the "
                     f"system width {self.width:.6g}"
                 )
-        self.bundle()  # validates the cocycle condition on triples
+        # built once; its constructor checks the cocycle condition on triples
+        object.__setattr__(self, "_bundle", UnitaryFlatBundle(
+            self.nerve, tuple(f.phase for f in transitions)))
 
     def bundle(self) -> UnitaryFlatBundle:
-        return UnitaryFlatBundle(
-            self.nerve, tuple(f.phase for f in self.transitions)
-        )
+        return self._bundle
 
     def transition_of(self, edge: Edge) -> CircleDiffeo:
         return self.transitions[self.nerve.edges.index(edge)]
@@ -258,8 +271,7 @@ def _mode_tensor(bundle: UnitaryFlatBundle, modes: np.ndarray) -> np.ndarray:
     matrix i is ``e^{i n phi_e}`` at chart dst(e) minus 1 at chart src(e)."""
     nerve = bundle.nerve
     rows = np.arange(len(nerve.edges))
-    src = np.array([nerve.chart_index(e.src) for e in nerve.edges], dtype=int)
-    dst = np.array([nerve.chart_index(e.dst) for e in nerve.edges], dtype=int)
+    src, dst = nerve.ends.T
     phases = np.array(bundle.phases, dtype=float)
     a = np.zeros((len(modes), rows.size, len(nerve.charts)), dtype=complex)
     a[:, rows, dst] += np.exp(1j * (modes[:, None] * phases[None, :]))
@@ -471,8 +483,7 @@ def _gram(bundle: UnitaryFlatBundle, modes: np.ndarray) -> np.ndarray:
     nerve = bundle.nerve
     x = np.exp(1j * (modes[:, None] * np.array(bundle.phases)[None, :]))
     g = np.zeros((len(modes), len(nerve.charts), len(nerve.charts)), dtype=complex)
-    for e, xe in zip(nerve.edges, x.T):
-        j, k = nerve.chart_index(e.src), nerve.chart_index(e.dst)
+    for (j, k), xe in zip(nerve.ends.tolist(), x.T):
         if j == k:
             g[:, j, j] += np.abs(xe - 1.0) ** 2
         else:

@@ -548,8 +548,12 @@ def kam_step(
         initial=0.0))
     _certify(report, "hat_norm_below_delta", max_maj, delta_m)
 
-    # coefficient decay audit (with the majorant itself as the norm bound)
-    decay_failures = sum(not audit.passed for audit in decay_checks(hats, entry))
+    # coefficient decay audit, with the majorant itself as the norm bound, at
+    # sigma_m, the width the majorant was taken at (a hat may be wider). With
+    # the norm taken at the audited width the audit fails only when the
+    # majorant is not finite
+    audited = [h if h.width == sigma_m else h.with_width(sigma_m) for h in hats]
+    decay_failures = sum(not audit.passed for audit in decay_checks(audited, entry))
     _certify(report, "coefficient_decay", decay_failures, 0.0)
     lap("gate")
 
@@ -627,13 +631,22 @@ class Conjugacy:
     linear_cocycle: UnitaryFlatBundle
     final_width: float
 
+    def check_nerve(self, system: TransitionSystem) -> None:
+        """Raise :class:`ValidationError` unless the linear cocycle's nerve
+        is the system's: the same charts, edges in order, and triples."""
+        if self.linear_cocycle.nerve != system.nerve:
+            raise ValidationError(f"conjugacy nerve {self.linear_cocycle.nerve} is not "
+                                  f"the system's {system.nerve}")
+
     def residual(self, initial: TransitionSystem, samples: int = 128) -> float:
         """Largest ``|charts[k](t_e u) - f_e(charts[j](u))|`` over the edges
         and ``samples`` unit-circle points; NaN if any value is NaN, so a
         comparison with the tolerance fails. ``samples`` must be at least 1:
-        no points would check nothing."""
+        no points would check nothing. A conjugacy over another nerve raises
+        (:meth:`check_nerve`): it would pair phases with the wrong edges."""
         if samples < 1:
             raise ValidationError(f"samples must be at least 1, got {samples}")
+        self.check_nerve(initial)
         u = unit_circle(samples)
         edges = initial.nerve.edges
         turned = np.exp(1j * np.array(self.linear_cocycle.phases))[:, None] * u
@@ -653,8 +666,8 @@ class Conjugacy:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Conjugacy":
         """Parse a conjugacy document; every type or value failure, including
-        a non-finite width, phase or hat coefficient, raises
-        :class:`SchemaError`."""
+        a non-finite width, phase or hat coefficient, or chart keys other
+        than the linear cocycle's charts, raises :class:`SchemaError`."""
         try:
             bundle = UnitaryFlatBundle.from_json_dict(doc["linear_cocycle"])
             charts = {
@@ -665,6 +678,9 @@ class Conjugacy:
             raise SchemaError(f"conjugacy document missing field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"bad conjugacy document: {exc}") from exc
+        if set(charts) != set(bundle.nerve.charts):
+            raise SchemaError(f"conjugacy charts {list(charts)} are not its linear "
+                              f"cocycle's charts {list(bundle.nerve.charts)}")
         return cls(charts=charts, linear_cocycle=bundle, final_width=final_width)
 
 

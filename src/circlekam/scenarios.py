@@ -52,22 +52,12 @@ class Scenario:
     outputs: tuple = OUTPUTS
 
     def to_json_dict(self) -> dict:
+        maps = self.system.transitions
         return {
             "schema": 1,
             "name": self.name,
             "width": float(self.system.width),
-            "charts": list(self.system.nerve.charts),
-            "edges": [
-                {
-                    "from": e.src,
-                    "to": e.dst,
-                    "label": e.label,
-                    "phase": float(f.phase),
-                    "hat": f.hat.to_json_dict(),
-                }
-                for e, f in zip(self.system.nerve.edges, self.system.transitions)
-            ],
-            "triples": [list(t) for t in self.system.nerve.triples],
+            **self.system.nerve.to_json_dict(f.to_json_dict() for f in maps),
             "params": self.params.to_json_dict(),
             "outputs": list(self.outputs),
         }
@@ -84,14 +74,8 @@ class Scenario:
             raise SchemaError(f"unsupported scenario schema {schema!r}")
         try:
             width = _real(doc["width"])
-            charts = tuple(doc["charts"])
-            edges = []
-            transitions = []
-            for ed in doc["edges"]:
-                edges.append(Edge(ed["from"], ed["to"], ed["label"]))
-                transitions.append(CircleDiffeo.from_json_dict(ed))
-            nerve = Nerve(charts, tuple(edges),
-                          tuple(tuple(t) for t in doc.get("triples", [])))
+            transitions = tuple(CircleDiffeo.from_json_dict(ed) for ed in doc["edges"])
+            nerve = Nerve.from_json_dict(doc)
             params = KamParams.from_json_dict(doc.get("params", {}), sigma0=width)
             outputs = doc.get("outputs", list(OUTPUTS))
             if not (isinstance(outputs, list)
@@ -102,7 +86,7 @@ class Scenario:
             raise SchemaError(f"scenario document missing field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"bad scenario document: {exc}") from exc
-        system = TransitionSystem(nerve, tuple(transitions), width)
+        system = TransitionSystem(nerve, transitions, width)
         if abs(params.sigma0 - width) > 1e-12:
             raise ValidationError(
                 f"params sigma0 {params.sigma0} disagrees with system width {width}"
@@ -223,8 +207,10 @@ def extract_simultaneous(conj: Conjugacy, scenario: Scenario) -> SimultaneousRes
     and exceeding :data:`COLLAPSE_TOL` raises. The returned residuals certify
     ``psi0^{-1} o f_j o psi0 = rotation`` on :data:`SIMULTANEOUS_SAMPLES`
     unit-circle points. A NaN or infinite collapse or linearization residual
-    raises too.
+    raises too, and so does a conjugacy over another nerve than the
+    scenario's (:meth:`Conjugacy.check_nerve`).
     """
+    conj.check_nerve(scenario.system)
     nerve = scenario.system.nerve
     if len(nerve.charts) != 3:
         raise ValidationError("not a genus-2 scenario: expected three charts")

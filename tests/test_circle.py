@@ -41,6 +41,20 @@ class TestConstruction:
         with pytest.raises(NotACircleMapError):
             CircleDiffeo(0.3, hat)
 
+    @pytest.mark.parametrize("phase,coeffs", [
+        (0.3, {2: np.nan, -2: np.nan}),
+        (0.3, {1: np.inf, -1: -np.inf}),
+        (np.inf, {}),
+    ])
+    def test_non_finite_map_rejected_without_warning(self, phase, coeffs):
+        # both tests of the hat were false for NaN, and an infinite phase
+        # became NaN
+        hat = LaurentSeries.from_coeffs(coeffs, 1.0, n_trunc=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotACircleMapError):
+                CircleDiffeo(phase, hat)
+
     def test_phase_reduced_mod_2pi(self):
         f = rotation(TWO_PI + 0.25, width=1.0)
         assert abs(f.phase - 0.25) < 1e-12

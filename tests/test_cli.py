@@ -268,6 +268,30 @@ def _boolean_width(doc):
     doc["final_width"] = True
 
 
+def _drop_cocycle_edge(doc):
+    doc["linear_cocycle"]["edges"].pop()
+
+
+def _append_cocycle_edge(doc):
+    doc["linear_cocycle"]["edges"].append(
+        {"from": "U0", "to": "U1", "label": "extra", "phase": 0.0})
+
+
+def _swap_cocycle_edges(doc):
+    edges = doc["linear_cocycle"]["edges"]
+    edges[0], edges[2] = edges[2], edges[0]
+
+
+def _rename_chart(doc):
+    # the linear cocycle and the charts alike: the document is consistent,
+    # and only its nerve differs from the scenario's
+    cocycle = doc["linear_cocycle"]
+    cocycle["charts"] = ["V2" if c == "U2" else c for c in cocycle["charts"]]
+    for e in cocycle["edges"]:
+        e["to"] = "V2" if e["to"] == "U2" else e["to"]
+    doc["charts"]["V2"] = doc["charts"].pop("U2")
+
+
 class TestMalformedConjugacy:
     @pytest.mark.parametrize("breaker", [_null_cocycle_phase, _nan_cocycle_phase,
                                          _inf_chart_phase, _text_chart_phase,
@@ -285,6 +309,20 @@ class TestMalformedConjugacy:
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), str(flagship_scenario)]) == 2
         assert read_stdout_json(capsys)["outcome"] == "validation_error"
+
+    @pytest.mark.parametrize("breaker", [_drop_cocycle_edge, _append_cocycle_edge,
+                                         _swap_cocycle_edges, _rename_chart])
+    def test_verify_over_another_nerve_exits_2(self, genus2_run, tmp_path, capsys,
+                                               breaker):
+        # a dropped or appended edge raised a traceback, and swapped edges
+        # paired each edge with another's phase and exited 3
+        scenario, out, _ = genus2_run
+        doc = json.loads((out / "conjugacy.json").read_text())
+        breaker(doc)
+        path = tmp_path / "other_nerve.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), str(scenario)]) == 2
+        assert strict_json(capsys.readouterr().out)["outcome"] == "validation_error"
 
 class TestDioph:
     def test_golden_spectrum_closed_form(self, flagship_scenario, capsys):
@@ -498,6 +536,18 @@ class TestArguments:
         with pytest.raises(SystemExit) as exc:
             main(["--log-level", "loud", "gate", str(pair_scenario)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("below", [None, "sub"])
+    def test_run_out_naming_a_file_exits_2(self, pair_scenario, tmp_path, capsys,
+                                           below):
+        # the run went through, then writing its files raised a traceback
+        taken = tmp_path / "gate.json"
+        taken.write_text("{}")
+        out = taken if below is None else taken / below
+        assert main(["run", str(pair_scenario), "--out", str(out)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error" and str(out) in report["message"]
+        assert taken.read_text() == "{}"
 
     def test_listed_outputs_are_written(self, pair_scenario, tmp_path, capsys):
         doc = json.loads(pair_scenario.read_text())

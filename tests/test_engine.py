@@ -10,6 +10,7 @@ from circlekam import (
     KamParams,
     LaurentSeries,
     ResonantModeError,
+    Scenario,
     ScheduleViolationError,
     SchemaError,
     TruncationError,
@@ -273,6 +274,20 @@ class TestKamStep:
         with pytest.raises(ValidationError, match="c0 is unset"):
             kam_step(sc.system, 0, sc.params)
 
+    def test_hat_wider_than_the_system_audited_at_the_working_width(self):
+        # the audit once took the majorant at sigma_m with the decay rate of
+        # the hat's own width, and aborted the wide twin at step 0
+        hat = LaurentSeries.from_coeffs({3: 1e-7j, -3: 1e-7j}, width=1.0)
+        doc = build_single_chart(GOLDEN, hat, 1.0, eta0=0.05, n_trunc=16).to_json_dict()
+        narrow = Scenario.from_json_dict(doc)
+        doc["edges"][0]["hat"]["sigma"] = 1.5
+        wide = Scenario.from_json_dict(doc)
+        assert wide.system.transitions[0].width == 1.5
+        want, got = (run(sc.system, sc.params) for sc in (narrow, wide))
+        assert want.converged and want.steps == 1 and wide.params.strict_schedule
+        assert got.converged and got.steps == want.steps
+        assert got.conjugation_residual == want.conjugation_residual
+
     def test_strict_gate_abort(self):
         sc = golden_scenario(1e-4, strict=True)
         params = resolve_c0(sc.system, sc.params)
@@ -446,6 +461,16 @@ class TestRun:
         assert back.final_width == res.conjugacy.final_width
         assert back.residual(sc.system) <= 1e-8
 
+    def test_chart_keys_are_the_cocycle_charts(self):
+        # an extra chart was carried along unchecked, a missing one raised
+        # KeyError in the residual
+        sc = golden_scenario(1e-4, strict=False)
+        doc = run(sc.system, sc.params).conjugacy.to_json_dict()
+        extra = dict(doc, charts={**doc["charts"], "U9": doc["charts"]["U0"]})
+        for broken in (extra, dict(doc, charts={})):
+            with pytest.raises(SchemaError, match="linear cocycle's charts"):
+                Conjugacy.from_json_dict(broken)
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_residual_needs_a_sample(self, samples):
         # no sample point checked nothing: a residual of 0
@@ -520,7 +545,9 @@ class TestCertificateLedger:
         def renew_rows(*args, **kwargs):
             maps, infos = real(*args, **kwargs)
             if phase is not None:
-                maps = [CircleDiffeo(phase, f.hat) for f in maps]
+                # set after the constructor, which rejects a non-finite phase
+                for f in maps:
+                    object.__setattr__(f, "phase", phase)
             if tail_mass is not None:
                 infos = [dataclasses.replace(i, tail_mass=tail_mass) for i in infos]
             return maps, infos

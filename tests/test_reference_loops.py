@@ -14,6 +14,7 @@ and the stacked solve uses a pseudo-inverse instead of ``lstsq``; those
 match to round-off.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -820,6 +821,18 @@ def test_pruning_bound_holds_and_proves_rank(nerve, mu):
     assert not np.any(full_rank & deficient)
     assert np.all(proven[full_rank])
     _assert_c0_as_full_spectrum(bundle, n_max, mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bound_nerves())
+def test_bundle_document_round_trip(nerve):
+    bundle, _ = nerve
+    back = UnitaryFlatBundle.from_json_dict(json.loads(json.dumps(bundle.to_json_dict())))
+    assert back == bundle and back.nerve == bundle.nerve
+    # the chart indices built once, against the per-edge lookup they replaced
+    want = [[back.nerve.chart_index(e.src), back.nerve.chart_index(e.dst)]
+            for e in back.nerve.edges]
+    assert back.nerve.ends.tolist() == want and not back.nerve.ends.flags.writeable
 
 
 def test_dict_fit_equals_loop_on_synthetic_spectra():

@@ -168,6 +168,17 @@ class TestExtraction:
         with pytest.raises(ValidationError):
             extract_simultaneous(res.conjugacy, sc)
 
+    def test_conjugacy_over_another_nerve_rejected(self):
+        # a plus edge the conjugacy lacks raised ValueError from the lookup
+        # of its phase
+        sc, _ = consistent_genus2()
+        res = run(sc.system, sc.params)
+        doc = res.conjugacy.to_json_dict()
+        dropped = doc["linear_cocycle"]["edges"].pop(2)
+        assert (dropped["to"], dropped["label"]) == ("U2", "+")
+        with pytest.raises(ValidationError, match="conjugacy nerve"):
+            extract_simultaneous(Conjugacy.from_json_dict(doc), sc)
+
     def test_non_finite_residual_fails_closed(self):
         # an overflowing chart coefficient makes the chart evaluate to NaN;
         # max(worst, nan) kept the old worst, so the residual read as round-off
