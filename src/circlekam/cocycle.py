@@ -98,8 +98,7 @@ class Nerve:
         object.__setattr__(self, "ends", ends)
 
     def to_json_dict(self, per_edge) -> dict:
-        """The document form; each edge's own fields, one dict per edge from
-        ``per_edge``, join its ``from``, ``to`` and ``label``."""
+        """The document form, each edge's own fields (a dict from ``per_edge``) added."""
         return {
             "charts": list(self.charts),
             "edges": [{"from": e.src, "to": e.dst, "label": e.label, **own}
@@ -110,9 +109,8 @@ class Nerve:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Nerve":
         """The nerve of a :meth:`to_json_dict` document; no ``triples`` is none."""
-        return cls(tuple(doc["charts"]),
-                   tuple(Edge(e["from"], e["to"], e["label"]) for e in doc["edges"]),
-                   tuple(tuple(t) for t in doc.get("triples", [])))
+        edges = [Edge(e["from"], e["to"], e["label"]) for e in doc["edges"]]
+        return cls(doc["charts"], edges, doc.get("triples", ()))
 
     def _spanning_tree(self) -> dict:
         """Breadth-first spanning tree from the first chart, over edges taken
@@ -131,9 +129,6 @@ class Nerve:
                     parent[nxt] = (v, e, sign)
                     queue.append(nxt)
         return parent
-
-    def chart_index(self, chart) -> int:
-        return self.charts.index(chart)
 
     def fundamental_cycles(self) -> list:
         """One closed walk per non-tree edge, as lists of (edge, sign) steps."""
@@ -213,6 +208,7 @@ class TransitionSystem:
     nerve: Nerve
     transitions: tuple
     width: float
+    _bundle: UnitaryFlatBundle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         transitions = tuple(self.transitions)
@@ -225,9 +221,8 @@ class TransitionSystem:
                     f"transition on {e} has width {f.width:.6g} below the "
                     f"system width {self.width:.6g}"
                 )
-        # built once; its constructor checks the cocycle condition on triples
-        object.__setattr__(self, "_bundle", UnitaryFlatBundle(
-            self.nerve, tuple(f.phase for f in transitions)))
+        bundle = UnitaryFlatBundle(self.nerve, tuple(f.phase for f in transitions))
+        object.__setattr__(self, "_bundle", bundle)  # built once; checks the cocycle
 
     def bundle(self) -> UnitaryFlatBundle:
         return self._bundle

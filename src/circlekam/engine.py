@@ -548,12 +548,11 @@ def kam_step(
         initial=0.0))
     _certify(report, "hat_norm_below_delta", max_maj, delta_m)
 
-    # coefficient decay audit, with the majorant itself as the norm bound, at
-    # sigma_m, the width the majorant was taken at (a hat may be wider). With
-    # the norm taken at the audited width the audit fails only when the
-    # majorant is not finite
-    audited = [h if h.width == sigma_m else h.with_width(sigma_m) for h in hats]
-    decay_failures = sum(not audit.passed for audit in decay_checks(audited, entry))
+    # coefficient decay audit at sigma_m, with the majorant taken there as the
+    # norm bound (a hat may be wider); with the norm taken at the audited
+    # width, the audit fails only when the majorant is not finite
+    audited = decay_checks([h.with_width(sigma_m) for h in hats], entry)
+    decay_failures = sum(not audit.passed for audit in audited)
     _certify(report, "coefficient_decay", decay_failures, 0.0)
     lap("gate")
 
@@ -632,11 +631,15 @@ class Conjugacy:
     final_width: float
 
     def check_nerve(self, system: TransitionSystem) -> None:
-        """Raise :class:`ValidationError` unless the linear cocycle's nerve
-        is the system's: the same charts, edges in order, and triples."""
-        if self.linear_cocycle.nerve != system.nerve:
-            raise ValidationError(f"conjugacy nerve {self.linear_cocycle.nerve} is not "
-                                  f"the system's {system.nerve}")
+        """Raise :class:`ValidationError`, naming the first part and index
+        that differ, unless the linear cocycle's nerve is the system's."""
+        ours = self.linear_cocycle.nerve
+        for part in ("charts", "edges", "triples"):
+            mine, theirs = getattr(ours, part), getattr(system.nerve, part)
+            if mine != theirs:
+                at = next((i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b),
+                          min(len(mine), len(theirs)))
+                raise ValidationError(f"conjugacy {part} differ from the system's at {at}")
 
     def residual(self, initial: TransitionSystem, samples: int = 128) -> float:
         """Largest ``|charts[k](t_e u) - f_e(charts[j](u))|`` over the edges
@@ -679,8 +682,7 @@ class Conjugacy:
         except (TypeError, ValueError, AttributeError) as exc:
             raise SchemaError(f"bad conjugacy document: {exc}") from exc
         if set(charts) != set(bundle.nerve.charts):
-            raise SchemaError(f"conjugacy charts {list(charts)} are not its linear "
-                              f"cocycle's charts {list(bundle.nerve.charts)}")
+            raise SchemaError(f"conjugacy charts {list(charts)} are not its linear cocycle's")
         return cls(charts=charts, linear_cocycle=bundle, final_width=final_width)
 
 

@@ -310,19 +310,25 @@ class TestMalformedConjugacy:
         assert main(["verify", str(path), str(flagship_scenario)]) == 2
         assert read_stdout_json(capsys)["outcome"] == "validation_error"
 
-    @pytest.mark.parametrize("breaker", [_drop_cocycle_edge, _append_cocycle_edge,
-                                         _swap_cocycle_edges, _rename_chart])
+    @pytest.mark.parametrize("breaker, differs", [
+        (_drop_cocycle_edge, "edges differ from the system's at 3"),
+        (_append_cocycle_edge, "edges differ from the system's at 4"),
+        (_swap_cocycle_edges, "edges differ from the system's at 0"),
+        (_rename_chart, "charts differ from the system's at 2")])
     def test_verify_over_another_nerve_exits_2(self, genus2_run, tmp_path, capsys,
-                                               breaker):
+                                               breaker, differs):
         # a dropped or appended edge raised a traceback, and swapped edges
-        # paired each edge with another's phase and exited 3
+        # paired each edge with another's phase and exited 3; the report
+        # names the first part of the nerve that differs
         scenario, out, _ = genus2_run
         doc = json.loads((out / "conjugacy.json").read_text())
         breaker(doc)
         path = tmp_path / "other_nerve.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), str(scenario)]) == 2
-        assert strict_json(capsys.readouterr().out)["outcome"] == "validation_error"
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert report["message"] == f"conjugacy {differs}"
 
 class TestDioph:
     def test_golden_spectrum_closed_form(self, flagship_scenario, capsys):

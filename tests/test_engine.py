@@ -468,7 +468,7 @@ class TestRun:
         doc = run(sc.system, sc.params).conjugacy.to_json_dict()
         extra = dict(doc, charts={**doc["charts"], "U9": doc["charts"]["U0"]})
         for broken in (extra, dict(doc, charts={})):
-            with pytest.raises(SchemaError, match="linear cocycle's charts"):
+            with pytest.raises(SchemaError, match="not its linear cocycle.s"):
                 Conjugacy.from_json_dict(broken)
 
     @pytest.mark.parametrize("samples", [0, -5])

@@ -188,8 +188,8 @@ def mode_matrix_loop(bundle, n):
     nerve = bundle.nerve
     a = np.zeros((len(nerve.edges), len(nerve.charts)), dtype=complex)
     for row, (e, phi) in enumerate(zip(nerve.edges, bundle.phases)):
-        j = nerve.chart_index(e.src)
-        k = nerve.chart_index(e.dst)
+        j = nerve.charts.index(e.src)
+        k = nerve.charts.index(e.dst)
         a[row, k] += np.exp(1j * n * phi)
         a[row, j] -= 1.0
     return a
@@ -830,7 +830,7 @@ def test_bundle_document_round_trip(nerve):
     back = UnitaryFlatBundle.from_json_dict(json.loads(json.dumps(bundle.to_json_dict())))
     assert back == bundle and back.nerve == bundle.nerve
     # the chart indices built once, against the per-edge lookup they replaced
-    want = [[back.nerve.chart_index(e.src), back.nerve.chart_index(e.dst)]
+    want = [[back.nerve.charts.index(e.src), back.nerve.charts.index(e.dst)]
             for e in back.nerve.edges]
     assert back.nerve.ends.tolist() == want and not back.nerve.ends.flags.writeable
 

@@ -176,7 +176,7 @@ class TestExtraction:
         doc = res.conjugacy.to_json_dict()
         dropped = doc["linear_cocycle"]["edges"].pop(2)
         assert (dropped["to"], dropped["label"]) == ("U2", "+")
-        with pytest.raises(ValidationError, match="conjugacy nerve"):
+        with pytest.raises(ValidationError, match="conjugacy edges differ from the system.s at 2"):
             extract_simultaneous(Conjugacy.from_json_dict(doc), sc)
 
     def test_non_finite_residual_fails_closed(self):
