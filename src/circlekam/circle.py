@@ -105,10 +105,15 @@ class CircleDiffeo:
 
 def symmetry_defect(hat: LaurentSeries) -> float:
     """Max over n of ``|c_n + conj(c_{-n})|`` (n = 0 included); NaN when
-    the coefficients hold a NaN, or infinities of opposite sign at n, -n."""
-    flipped = np.conj(hat.coeffs[::-1])
+    the coefficients hold a NaN, or infinities of opposite sign at n, -n.
+
+    The max runs over the support: a pair of zeros adds exactly 0, and the
+    term at -n has the bits of the one at n (the real parts add the same two
+    numbers, the imaginary part is negated exactly)."""
+    n, n_t = hat.support, hat.truncation
     with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(hat.coeffs + flipped))) if hat.coeffs.size else 0.0
+        return float(np.max(np.abs(hat.coeffs[n_t + n] + np.conj(hat.coeffs[n_t - n])),
+                            initial=0.0))
 
 
 def identity_map(width: float, n_trunc: int = 0) -> CircleDiffeo:
@@ -294,7 +299,7 @@ def expand_detailed(fvals, n_trunc: int, width: float) -> tuple[CircleDiffeo, Ex
         phases, hats, infos = _expand_rows(np.asarray(fvals, dtype=complex)[None],
                                            n_trunc, errors)
     _raise_first(errors)
-    return CircleDiffeo(phases[0], LaurentSeries(hats[0], width)), infos[0]
+    return CircleDiffeo(phases[0], LaurentSeries.from_band(hats[0], width, n_trunc)), infos[0]
 
 
 def expand(fvals, n_trunc: int, width: float) -> CircleDiffeo:
@@ -326,8 +331,8 @@ def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
     series", ACM TOMS 43, 2017). At ``k = n_trunc`` the grid is exactly the
     fixed one of ``max(4 n_trunc, 8)`` points, and only that attempt may
     raise: the error of the lowest failing row, prefixed with its label.
-    Returns one map (hat zero-padded to ``n_trunc``) and one
-    :class:`ExpandInfo` per row.
+    Returns one map (hat zero-padded to ``n_trunc``, built from its band
+    of the last attempt) and one :class:`ExpandInfo` per row.
     """
     k = min(n_trunc, max(1, 2 * max(degrees)))
     while True:
@@ -340,10 +345,8 @@ def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
         if final or not errors and all(i.tail_mass == 0.0 for i in infos):
             break
         k = min(2 * k, n_trunc)
-    padded = np.zeros((hats.shape[0], 2 * n_trunc + 1), dtype=complex)
-    pad = n_trunc - (hats.shape[1] - 1) // 2
-    padded[:, pad : pad + hats.shape[1]] = hats
-    return [CircleDiffeo(p, LaurentSeries(h, width)) for p, h in zip(phases, padded)], infos
+    return [CircleDiffeo(p, LaurentSeries.from_band(h, width, n_trunc))
+            for p, h in zip(phases, hats)], infos
 
 
 def renew_rows(src, maps, dst, n_trunc: int, width: float, labels=None):
@@ -406,6 +409,9 @@ def rotation_number(f: CircleDiffeo, iters: int = ROTATION_ITERS) -> float:
     if nonzero.size == 0:
         return float(base % 1.0)
 
+    # the weights first: an orbit too long for memory fails at once, with
+    # the size numpy could not allocate
+    weights, half_weights = _bump_weights(iters), _bump_weights(iters // 2)
     # Im hat(z) / 2 pi = Im(sum_{n>=1} c_n z^n) / pi on |z| = 1, by Horner
     # from the highest nonzero mode; scalar Python beats numpy at this size
     horner = [complex(c) / np.pi for c in positive[: nonzero[-1] + 1][::-1]]
@@ -423,8 +429,8 @@ def rotation_number(f: CircleDiffeo, iters: int = ROTATION_ITERS) -> float:
 
     d = np.asarray(disp)
     half = iters // 2
-    mean = float(_bump_weights(iters) @ d[1:])
-    spread = abs(mean - float(_bump_weights(half) @ d[1:half]))
+    mean = float(weights @ d[1:])
+    spread = abs(mean - float(half_weights @ d[1:half]))
     rho = base + mean
     if not np.isfinite(rho):
         raise ValidationError(f"rotation number is not finite ({rho!r})")

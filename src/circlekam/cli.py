@@ -8,7 +8,8 @@ prints a machine-readable JSON report to stdout; ``run`` also writes trace
 CSV/JSON, conjugacy JSON, and diagnostics JSON next to ``--out``. All JSON is
 strict: a non-finite number is written as ``null``. An error is reported by
 one handler in :func:`main` (``run`` writes its files in its own), from the
-``outcome`` and ``fields`` of its class. ``--log-level`` sends the library's
+``outcome`` and ``fields`` of its class; a size too large for memory is a
+validation error. ``--log-level`` sends the library's
 log records to stderr (default WARNING); stdout is the same at every level.
 """
 
@@ -35,9 +36,13 @@ EXIT_FAILURE = 3
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
-def _diagnose(exc: CircleKamError) -> tuple[dict, int]:
+def _diagnose(exc: CircleKamError | MemoryError) -> tuple[dict, int]:
     """The report and exit code of a library error: its class's ``outcome``
-    and ``fields``, and exit 3 for certificate failures, 2 otherwise."""
+    and ``fields``, and exit 3 for certificate failures, 2 otherwise. A
+    failed allocation is an input too large for memory, a validation error
+    whose message carries the size that could not be allocated."""
+    if isinstance(exc, MemoryError):
+        exc = ValidationError(f"input too large for memory: {exc}")
     diag = {key: getattr(exc, attr) for key, attr in exc.fields.items()}
     diag.update(outcome=exc.outcome, message=str(exc))
     return diag, EXIT_FAILURE if isinstance(exc, CertificateError) else EXIT_VALIDATION
@@ -77,7 +82,7 @@ def _cmd_run(args) -> int:
         if args.no_strict:
             scenario = scenario.with_strict(False)
         result = engine.run(scenario.system, scenario.params)
-    except CircleKamError as exc:
+    except (CircleKamError, MemoryError) as exc:
         diag, code = _diagnose(exc)
         trace = getattr(exc, "trace", None)
         if trace is not None:
@@ -218,7 +223,7 @@ def main(argv=None) -> int:
     with _log_to_stderr(args.log_level):
         try:
             return args.fn(args)
-        except CircleKamError as exc:
+        except (CircleKamError, MemoryError) as exc:
             diag, code = _diagnose(exc)
             _emit(diag)
             return code

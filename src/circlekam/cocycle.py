@@ -572,7 +572,9 @@ def fit_c0(bundle: UnitaryFlatBundle, n_max: int, mu: float) -> tuple:
     seed among them. A pruned mode can neither set C0 nor be the first
     resonant mode, and the seed is full rank or mode 1, so factoring it
     first reports no other resonance. On a forest the bound proves no mode
-    full rank, and every mode is factored.
+    full rank, and every mode is factored. The bound runs over all n_max
+    modes, once per run: a proven C0 has to cover every mode, not only
+    the populated ones.
     """
     if n_max < 1 or not 1 < mu < np.inf:
         raise ValidationError(f"need n_max >= 1 and 1 < mu < inf, got {n_max}, {mu}")

@@ -73,7 +73,6 @@ from .series import (
     _boolean,
     _integral,
     _real,
-    decay_checks,
     empirical_sup_norms,
     majorants,
 )
@@ -473,21 +472,25 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
 
 def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
                    eta_m: float, report: StepReport) -> dict:
-    """Solve every populated mode and assemble the per-chart change hats."""
+    """Solve every populated mode and assemble the per-chart change hats.
+
+    Every pass runs over the band ``|n| <= k``, k the largest hat degree (at
+    most N): modes beyond are zero in every hat and project to exact zeros,
+    so each change hat has the bits of the pass over all 2N+1."""
     nerve = system.nerve
     bundle = system.bundle()
-    n_t = params.n_trunc
-    hats = np.array([f.hat.dense(n_t) for f in system.transitions])
+    k = min(params.n_trunc, max((f.hat.degree for f in system.transitions), default=0))
+    hats = np.array([f.hat.dense(k) for f in system.transitions])
     populated = np.any(np.abs(hats) > 0, axis=0)
-    populated[n_t] = False
+    populated[k] = False
     # solvability is judged against the dominant mode of the step; sub-scale
     # modes carry round-off whose inconsistency means nothing
     scale = float(np.max(np.abs(hats[:, populated]))) if populated.any() else 0.0
-    coeffs = np.zeros((len(nerve.charts), 2 * n_t + 1), dtype=complex)
+    coeffs = np.zeros((len(nerve.charts), 2 * k + 1), dtype=complex)
     # walked in (|n|, -n) order: the first failing mode is the one reported
-    modes = sorted((np.flatnonzero(populated) - n_t).tolist(),
-                   key=lambda k: (abs(k), -k))
-    cols = np.array(modes, dtype=int) + n_t
+    modes = sorted((np.flatnonzero(populated) - k).tolist(),
+                   key=lambda n: (abs(n), -n))
+    cols = np.array(modes, dtype=int) + k
     sols = solve_modes(bundle, modes, hats[:, cols].T,
                        solvability_tol=COBOUNDARY_REL_TOL * scale)
     for col, sol in zip(cols, sols):
@@ -500,8 +503,25 @@ def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
     report.symmetry_projection = float(np.max(np.abs(coeffs + flipped)))
     _certify(report, "change_reality_symmetry", report.symmetry_projection,
              SYMMETRY_PROJECTION_TOL)
-    return {c: CircleDiffeo(0.0, LaurentSeries(row, sigma_m - eta_m))
+    return {c: CircleDiffeo(0.0, LaurentSeries.from_band(row, sigma_m - eta_m, params.n_trunc))
             for c, row in zip(nerve.charts, 0.5 * (coeffs - flipped))}
+
+
+def _decay_failures(hats, entry: np.ndarray) -> int:
+    """The number of hats failing the coefficient decay audit at sigma_m,
+    ``decay_checks([h.with_width(sigma_m) for h in hats], entry)``, with
+    ``entry`` their majorants at sigma_m as the norm bounds, in closed form:
+    a hat fails exactly when its truncation is at least 1 and its majorant
+    is not a finite number.
+
+    A non-finite bound fails every such hat by definition. A finite one
+    passes: the float sum of nonnegative terms is at least each term
+    ``|c_n| e^{|n| sigma_m}``, and a finite sum means no weight overflowed,
+    so ``|n| sigma_m <= 709``; ``entry e^{-|n| sigma_m}`` then falls short of
+    ``|c_n|`` by a few ulps of ``|c_n|`` at most, far below the slack
+    ``1e-12 max(entry, 1)``. A NaN coefficient makes its majorant NaN."""
+    return sum(h.truncation >= 1 and not math.isfinite(e)
+               for h, e in zip(hats, entry.tolist()))
 
 
 def kam_step(
@@ -548,12 +568,7 @@ def kam_step(
         initial=0.0))
     _certify(report, "hat_norm_below_delta", max_maj, delta_m)
 
-    # coefficient decay audit at sigma_m, with the majorant taken there as the
-    # norm bound (a hat may be wider); with the norm taken at the audited
-    # width, the audit fails only when the majorant is not finite
-    audited = decay_checks([h.with_width(sigma_m) for h in hats], entry)
-    decay_failures = sum(not audit.passed for audit in audited)
-    _certify(report, "coefficient_decay", decay_failures, 0.0)
+    _certify(report, "coefficient_decay", _decay_failures(hats, entry), 0.0)
     lap("gate")
 
     psis = _solve_changes(system, params, sigma_m, eta_m, report)

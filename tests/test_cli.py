@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from circlekam import (
     build_single_chart,
     conjugated_rotation,
 )
+import circlekam
 from circlekam import engine
 from circlekam.cli import _diagnose, main
 
@@ -634,3 +639,26 @@ class TestDiagnose:
         assert doc["failed_certificate"] == "tail_budget" and doc["step"] == 0
         assert doc["margin"] < 0
         assert strict_json((out / "diagnostics.json").read_text()) == doc
+
+
+def test_cli_path_does_not_import_numpy_ma(pair_scenario, tmp_path):
+    """run, verify, rotnum and gate on a genus-2 file, in one fresh
+    interpreter, never load numpy.ma: numpy's set routines (unique,
+    union1d, ...) import it on first call, about 2 MB of memory and import
+    time in every command."""
+    out = tmp_path / "out"
+    script = f"""
+import contextlib, io, json, sys
+from circlekam.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["run", {str(pair_scenario)!r}, "--no-strict", "--out", {str(out)!r}]),
+             main(["verify", {str(out / "conjugacy.json")!r}, {str(pair_scenario)!r}]),
+             main(["rotnum", {str(pair_scenario)!r}]),
+             main(["gate", {str(pair_scenario)!r}])]
+print(json.dumps({{"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}}))
+"""
+    src = str(Path(circlekam.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "numpy.ma": False}

@@ -13,6 +13,7 @@ from circlekam import (
     Scenario,
     ScheduleViolationError,
     SchemaError,
+    TransitionSystem,
     TruncationError,
     ValidationError,
     alpha_vs_rotation,
@@ -470,6 +471,41 @@ class TestRun:
         for broken in (extra, dict(doc, charts={})):
             with pytest.raises(SchemaError, match="not its linear cocycle.s"):
                 Conjugacy.from_json_dict(broken)
+
+    def test_truncation_sets_only_the_cost(self):
+        # a genus-2 pair at N=1024, and the same hats zero-padded to N=4096,
+        # run with the C0 of N=1024: N may change the cost, never a result
+        rng = np.random.default_rng(1)
+        th1, th2 = safe_rotation_numbers(rng, 2)
+        psi = CircleDiffeo(0.0, random_symmetric_hat(rng, 1.2, 5e-5))
+        sc = build_genus2(conjugated_rotation(psi, TWO_PI * th1, 1024, 1.0),
+                          conjugated_rotation(psi, TWO_PI * th2, 1024, 1.0),
+                          1.0, eta0=0.05, n_trunc=1024, strict_schedule=False)
+        params = resolve_c0(sc.system, sc.params)
+        padded = TransitionSystem(
+            sc.system.nerve,
+            tuple(CircleDiffeo(f.phase, LaurentSeries(f.hat.dense(4096), f.hat.width))
+                  for f in sc.system.transitions),
+            sc.system.width)
+        small = run(sc.system, params)
+        large = run(padded, dataclasses.replace(params, n_trunc=4096))
+        assert small.converged and small.steps >= 1
+        assert large.steps == small.steps
+        assert large.conjugation_residual == small.conjugation_residual
+        for c, phi in small.conjugacy.charts.items():
+            other = large.conjugacy.charts[c]
+            assert other.hat.truncation == 4096
+            assert other.phase == phi.phase
+            assert np.array_equal(other.hat.dense(64), phi.hat.dense(64))
+        assert large.conjugacy.linear_cocycle.phases == small.conjugacy.linear_cocycle.phases
+
+        def lhs(result):
+            entry = [result.trace.entry.certificates]
+            return [(m, name, rec.lhs) for m, certs in enumerate(
+                entry + [r.certificates for r in result.trace.rows])
+                for name, rec in certs.items()]
+
+        assert lhs(large) == lhs(small)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_residual_needs_a_sample(self, samples):

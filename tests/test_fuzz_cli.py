@@ -9,6 +9,8 @@ once crashed a command or passed a malformed value silently.
 
 No value above 1e3 lands in an integer position (``N``, ``max_iter``,
 ``--iters``, ``--modes``): a huge ``N`` allocates arrays of length 2N+1.
+Sizes too large for memory are tested on their own, only at 10^12, which
+numpy refuses to allocate at once.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import copy
 import io
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -196,3 +199,37 @@ def test_arguments(docs, command, samples, tol, iters, modes, mu):
         "rotnum": ["rotnum", docs.scenario_path, f"--iters={iters}"],
         "dioph": ["dioph", docs.scenario_path, f"--modes={modes}", f"--mu={mu}"],
     }[command])
+
+
+HUGE = 10**12
+
+
+@pytest.mark.parametrize("edit,argv", [
+    ((("edges", 0, "hat", "N"), HUGE), ["run", "{scenario}", "--out", "{out}"]),
+    ((("edges", 0, "hat", "N"), HUGE), ["gate", "{scenario}"]),
+    ((("edges", 0, "hat", "N"), HUGE), ["rotnum", "{scenario}"]),
+    ((("edges", 0, "hat", "N"), HUGE), ["verify", "{conjugacy}", "{scenario}"]),
+    ((("params", "N"), HUGE), ["run", "{scenario}", "--out", "{out}"]),
+    ((("params", "N"), HUGE), ["gate", "{scenario}"]),
+    (None, ["dioph", "{scenario}", f"--modes={HUGE}"]),
+    (None, ["verify", "{conjugacy}", "{scenario}", f"--samples={HUGE}"]),
+    (None, ["rotnum", "{scenario}", f"--iters={HUGE}"]),
+])
+def test_sizes_beyond_memory(docs, edit, argv):
+    """A size no machine can allocate ends in exit 2 with strict JSON, an
+    outcome validation_error and the refused size in the message, never in
+    a traceback; ``run`` writes its diagnostics file too."""
+    path = docs.work / "huge.json"
+    path.write_text(json.dumps(_edited(docs.scenario, [edit] if edit else [])))
+    out_dir = docs.work / "out_huge"
+    names = {"scenario": path, "conjugacy": docs.conjugacy_path, "out": out_dir}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([a.format(**names) for a in argv])
+    doc = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert code == 2, doc
+    assert doc["outcome"] == "validation_error"
+    assert doc["message"].startswith("input too large for memory")
+    assert re.search(r"\d{12}", doc["message"]), doc["message"]
+    if argv[0] == "run":
+        assert json.loads((out_dir / "diagnostics.json").read_text()) == doc

@@ -4,7 +4,9 @@ it replaced, the data-sized forms (degree-sized expansion grids, one
 stacked solve per step, the mirrored spectrum) against the fixed-size forms
 they replaced, the edge-stacked step (stacked majorants, the array C0
 fit, the stacked decay audit, the batched renewal) against the per-edge
-loops it replaced, and the pruned C0 fit against the full spectrum.
+loops it replaced, the pruned C0 fit against the full spectrum, and the
+support-sized passes of a step (symmetry defect, change solve, the decay
+audit in closed form) against the full-width forms they replaced.
 
 Each reference below is the replaced formulation kept verbatim. Where the
 new code performs the same floating-point operations in the same order on
@@ -15,6 +17,7 @@ match to round-off.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -43,6 +46,7 @@ from circlekam import (
 )
 from circlekam.circle import (
     NOISE_FLOOR_FACTOR,
+    SYMMETRY_TOL,
     ExpandInfo,
     _tracked_log,
     apply_inverse,
@@ -69,7 +73,15 @@ from circlekam.cocycle import (
     mode_matrix,
     solve_modes,
 )
-from circlekam.engine import resolve_c0
+from circlekam.engine import (
+    COBOUNDARY_REL_TOL,
+    SYMMETRY_PROJECTION_TOL,
+    StepReport,
+    _certify,
+    _decay_failures,
+    _solve_changes,
+    resolve_c0,
+)
 from circlekam.series import (
     AnnulusDomainError,
     DecayReport,
@@ -291,6 +303,40 @@ def fit_diophantine_loop(spectrum, mu):
     superpoly = abs(argmax) == last and bulk > 0 and c0 > 4.0 * bulk
     return DiophantineFit(c0=float(c0), mu=float(mu), argmax_mode=int(argmax),
                           per_mode_pass=per_mode, superpolynomial=bool(superpoly))
+
+
+def symmetry_defect_full(hat):
+    """Max of ``|c_n + conj(c_{-n})|`` over all 2N+1 coefficients."""
+    flipped = np.conj(hat.coeffs[::-1])
+    with np.errstate(invalid="ignore"):
+        return float(np.max(np.abs(hat.coeffs + flipped))) if hat.coeffs.size else 0.0
+
+
+def solve_changes_full(system, params, sigma_m, eta_m, report):
+    """The change solve on dense (edges, 2N+1) and (charts, 2N+1) blocks."""
+    nerve = system.nerve
+    bundle = system.bundle()
+    n_t = params.n_trunc
+    hats = np.array([f.hat.dense(n_t) for f in system.transitions])
+    populated = np.any(np.abs(hats) > 0, axis=0)
+    populated[n_t] = False
+    scale = float(np.max(np.abs(hats[:, populated]))) if populated.any() else 0.0
+    coeffs = np.zeros((len(nerve.charts), 2 * n_t + 1), dtype=complex)
+    modes = sorted((np.flatnonzero(populated) - n_t).tolist(),
+                   key=lambda k: (abs(k), -k))
+    cols = np.array(modes, dtype=int) + n_t
+    sols = solve_modes(bundle, modes, hats[:, cols].T,
+                       solvability_tol=COBOUNDARY_REL_TOL * scale)
+    for col, sol in zip(cols, sols):
+        coeffs[:, col] = sol.a
+    report.worst_mode_residual = max((sol.residual for sol in sols), default=0.0)
+    report.modes_solved = len(modes)
+    flipped = np.conj(coeffs[:, ::-1])
+    report.symmetry_projection = float(np.max(np.abs(coeffs + flipped)))
+    _certify(report, "change_reality_symmetry", report.symmetry_projection,
+             SYMMETRY_PROJECTION_TOL)
+    return {c: CircleDiffeo(0.0, LaurentSeries(row, sigma_m - eta_m))
+            for c, row in zip(nerve.charts, 0.5 * (coeffs - flipped))}
 
 
 def expand_by_degree_loop(sample, degree, n_trunc, width):
@@ -954,3 +1000,136 @@ def test_subnormal_loop_phase_raises_without_warnings():
                 call()
             err = info.value
             assert (err.mode, err.loop, err.holonomy) == (1, ["+U0->U0[loop0]"], 1e-310)
+
+
+# ---------------------------------------------------------------------------
+# support-sized passes of a step against the full-width ones
+# ---------------------------------------------------------------------------
+
+SPECIALS = [np.nan, np.inf, -np.inf, complex(np.inf, -np.inf), complex(0.0, np.nan),
+            complex(-np.inf, 1.0)]
+
+
+@st.composite
+def defect_hats(draw):
+    """Hats with gapped or dense support, made asymmetric within and beyond
+    SYMMETRY_TOL by perturbations and by one-sided modes, and with NaN or
+    infinite entries, alone or in pairs at n and -n."""
+    n_t = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = np.arange(-n_t, n_t + 1)
+    arr = (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)) * np.exp(-np.abs(n))
+    arr[rng.random(n.size) > draw(st.sampled_from([0.05, 0.3, 1.0]))] = 0.0
+    arr = 0.5 * (arr - np.conj(arr[::-1]))
+    arr[n_t] = 0.0
+    eps = draw(st.sampled_from([0.0, 1e-12, 5e-9, SYMMETRY_TOL, 2e-8, 1.0]))
+    at = rng.integers(0, n.size, draw(st.integers(0, 3)))
+    arr[at] += eps * (rng.standard_normal(at.size) + 1j * rng.standard_normal(at.size))
+    if draw(st.booleans()):
+        arr[rng.integers(0, n.size)] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        i = int(rng.integers(0, n.size))
+        arr[i] = draw(st.sampled_from(SPECIALS))
+        if draw(st.booleans()):
+            arr[-1 - i] = draw(st.sampled_from(SPECIALS))
+    return LaurentSeries(arr, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(defect_hats())
+def test_symmetry_defect_on_support_equals_full_width(hat):
+    got, want = symmetry_defect(hat), symmetry_defect_full(hat)
+    assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()
+
+
+@st.composite
+def change_systems(draw):
+    """A system for one change solve and its truncation N. The nerve is
+    genus-2, a star or a forest; the transition hats are coboundaries of
+    random chart hats, or random, with gapped supports and a one-sided mode
+    within SYMMETRY_TOL, truncated below, at or above N, their modes
+    reaching beyond N in some draws."""
+    rational = st.sampled_from([TWO_PI * p / q for p, q in [(1, 3), (2, 7), (1, 4)]])
+    angle = st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), rational)
+    kind = draw(st.sampled_from(["genus2", "star", "forest"]))
+    if kind == "genus2":
+        bundle = genus2_bundle(draw(angle), draw(angle))
+    else:
+        make = star_bundle if kind == "star" else forest_bundle
+        bundle = make(draw(st.lists(angle, min_size=1, max_size=4)))
+    n_t = draw(st.integers(1, 40))
+    d = draw(st.integers(0, n_t + 8))
+    n = np.arange(-d, d + 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    scale = draw(st.sampled_from([1e-6, 1e-3]))
+
+    def symmetric():
+        a = (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size))
+        a *= scale * np.exp(-0.5 * np.abs(n))
+        a[rng.random(n.size) > density] = 0.0
+        a = 0.5 * (a - np.conj(a[::-1]))
+        a[d] = 0.0
+        return a
+
+    charts = {c: symmetric() for c in bundle.nerve.charts}
+    coboundary = draw(st.booleans())
+    transitions = []
+    for e, phi in zip(bundle.nerve.edges, bundle.phases):
+        b = (np.exp(1j * n * phi) * charts[e.dst] - charts[e.src] if coboundary
+             else symmetric())
+        if d and draw(st.booleans()):
+            b[d + int(rng.integers(1, d + 1))] += 4e-9 * np.exp(1j * rng.uniform(0, TWO_PI))
+        t = d + draw(st.integers(0, 12))
+        arr = np.zeros(2 * t + 1, dtype=complex)
+        arr[t - d : t + d + 1] = b
+        transitions.append(CircleDiffeo(phi, LaurentSeries(arr, 1.5)))
+    system = TransitionSystem(bundle.nerve, tuple(transitions), 1.0)
+    return system, KamParams(sigma0=1.0, n_trunc=n_t, strict_schedule=False)
+
+
+def _change_solve(solve, system, params):
+    """The per-chart changes as bytes, or the error raised, with the report."""
+    report = StepReport(m=0, strict=False)
+    try:
+        psis = solve(system, params, 1.0, 0.05, report)
+    except CircleKamError as exc:
+        return (type(exc), exc.args), repr(report)
+    for psi in psis.values():
+        hat = psi.hat
+        assert np.array_equal(hat.support, np.flatnonzero(hat.coeffs) - hat.truncation)
+    return {c: (psi.phase, psi.hat.width, psi.hat.truncation, psi.hat.coeffs.tobytes())
+            for c, psi in psis.items()}, repr(report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(change_systems())
+def test_change_solve_on_support_equals_full_width(data):
+    system, params = data
+    assert _change_solve(_solve_changes, system, params) == _change_solve(
+        solve_changes_full, system, params)
+
+
+@st.composite
+def audited_hats(draw):
+    """Hats of truncation 0 to 6 at a width from 1e-3 to 200, with moduli
+    from 1e-320 to 1e308 and NaN or infinite entries."""
+    width = draw(st.floats(1e-3, 200.0))
+    n_t = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modulus = 10.0 ** rng.uniform(-320, 308, 2 * n_t + 1)
+    arr = modulus * np.exp(1j * rng.uniform(0, TWO_PI, modulus.size))
+    arr[rng.random(arr.size) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        arr[rng.integers(0, arr.size)] = draw(st.sampled_from(SPECIALS))
+    return LaurentSeries(arr, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(audited_hats(), min_size=1, max_size=5), st.floats(1e-3, 1.0))
+def test_decay_audit_in_closed_form_equals_decay_checks(hats, shrink):
+    sigma = [h.width * shrink for h in hats]
+    entry = majorants(hats, sigma)
+    want = sum(not a.passed for a in decay_checks(
+        [h.with_width(s) for h, s in zip(hats, sigma)], entry))
+    assert _decay_failures(hats, entry) == want
