@@ -332,19 +332,26 @@ def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
     fixed one of ``max(4 n_trunc, 8)`` points, and only that attempt may
     raise: the error of the lowest failing row, prefixed with its label.
     Returns one map (hat zero-padded to ``n_trunc``, built from its band
-    of the last attempt) and one :class:`ExpandInfo` per row.
+    of the last attempt) and one :class:`ExpandInfo` per row. The final
+    truncation, its number of points and the number of attempts are logged
+    at debug level.
     """
     k = min(n_trunc, max(1, 2 * max(degrees)))
+    attempts = 0
     while True:
         final = k >= n_trunc
+        m = max(4 * n_trunc, 8) if final else 4 * k
+        attempts += 1
         with np.errstate(all="ignore"):
-            vals, errors = sample(unit_circle(max(4 * n_trunc, 8) if final else 4 * k))
+            vals, errors = sample(unit_circle(m))
             phases, hats, infos = _expand_rows(vals, n_trunc if final else k, errors)
         if final:
             _raise_first(errors, labels)
         if final or not errors and all(i.tail_mass == 0.0 for i in infos):
             break
         k = min(2 * k, n_trunc)
+    logger.debug("expand by degree: k = %d on M = %d points after %d attempts",
+                 k, m, attempts)
     return [CircleDiffeo(p, LaurentSeries.from_band(h, width, n_trunc))
             for p, h in zip(phases, hats)], infos
 
@@ -504,11 +511,15 @@ def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> C
 
     Works on the log-lift where psi reads ``zeta -> zeta + hat(e^zeta)``; a
     derivative majorant below ``1/(1 + e^width)`` certifies both injectivity
-    and the contraction driving the per-sample solve. The result is accepted
-    only if ``psi^{-1} o psi`` is the identity to 1e-9 across the out_width
-    annulus. The inverse carries more modes than psi (its hat decays only
-    geometrically in the hat size), so the output truncation defaults to a
-    comfortable multiple of the input's.
+    and the contraction driving the per-sample solve. The inverse carries
+    more modes than psi (its hat decays only geometrically in the hat size),
+    so the output truncation defaults to a comfortable multiple of the
+    input's. The pointwise inverse is expanded on the grid of
+    :func:`expand_rows_by_degree`, started from psi's degree and doubled
+    until the inverse's band is resolved. The result is accepted only if
+    ``psi^{-1} o psi`` is the identity to 1e-9 on three radii of the
+    out_width annulus, each sampled at ``max(4 n_trunc, 8)`` points
+    whatever grid the expansion stopped at.
     """
     maj = majorant_norm(psi.hat, psi.width)
     if out_width > psi.width - 2.0 * maj:
@@ -527,8 +538,14 @@ def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> C
 
     if n_trunc is None:
         n_trunc = max(16, 2 * psi.hat.truncation)
+    rows = _rows_of([psi])
+
+    def sample(w):
+        errors: dict = {}
+        return _inverse_rows(*rows, w, errors), errors
+
+    (inv,), _ = expand_rows_by_degree(sample, [psi.hat.degree], n_trunc, out_width)
     unit = unit_circle(max(4 * n_trunc, 8))
-    inv = expand(apply_inverse(psi, unit), n_trunc, out_width)
 
     # certify strictly inside the out annulus so psi's image stays evaluable
     rho = (out_width - majorant_norm(psi.hat, out_width)) * (1.0 - 1e-9)

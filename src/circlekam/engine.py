@@ -388,6 +388,11 @@ class IterationTrace:
     # the run's entry report, holding its initial_norm_gate record; its
     # ledger is written to trace.json only, as a top-level key
     entry: StepReport = field(default_factory=lambda: StepReport(m=0))
+    # the run's C0 and, for a fitted C0 on a nerve with cycles, its mode and
+    # loop (as in the gate report); None until the entry gate has run
+    c0: float | None = None
+    c0_mode: int | None = None
+    c0_loop: list | None = None
 
     @property
     def violations(self) -> list:
@@ -408,6 +413,9 @@ class IterationTrace:
             "violations": [
                 {"m": m, "certificate": cert} for m, cert in self.violations
             ],
+            "C0": self.c0,
+            "C0_mode": self.c0_mode,
+            "C0_loop": self.c0_loop,
         }
 
 
@@ -729,6 +737,7 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         gate = gate_check(system, params)
         if params.c0 is None:
             params = params.with_c0(gate.c0_used)
+        trace.c0, trace.c0_mode, trace.c0_loop = params.c0, gate.c0_mode, gate.c0_loop
         _certify(trace.entry, "initial_norm_gate",
                  np.max([row[1] for row in gate.per_edge], initial=0.0), gate.gate_value)
         phis = {c: identity_map(params.sigma0) for c in system.nerve.charts}

@@ -19,11 +19,12 @@ import numpy as np
 
 from .circle import (
     CircleDiffeo,
-    apply_inverse,
+    _eval_rows,
+    _inverse_rows,
+    _rows_of,
     apply_inverses,
-    eval_diffeo,
     eval_diffeos,
-    expand,
+    expand_rows_by_degree,
     identity_map,
     unit_circle,
 )
@@ -175,12 +176,22 @@ def conjugated_rotation(
 
     Pairs built this way from one common psi are simultaneously linearizable
     by construction, which is what the genus-2 coboundary condition demands
-    at every level of the iteration.
+    at every level of the iteration. The samples ``psi(e^{i phase}
+    psi^{-1}(w))`` are taken on the grid of
+    :func:`circlekam.circle.expand_rows_by_degree`, started from twice psi's
+    degree (psi and its inverse are the two factors), so the cost follows
+    psi's modes rather than ``n_trunc``. Only the last attempt, on the
+    ``max(4 n_trunc, 8)``-point grid, raises.
     """
-    w = unit_circle(max(4 * n_trunc, 8))
-    x = apply_inverse(psi, w)
-    z = eval_diffeo(psi, np.exp(1j * phase) * x)
-    return expand(z, n_trunc, out_width)
+    rows = _rows_of([psi])
+    turn = np.exp(1j * phase)
+
+    def sample(w):
+        errors: dict = {}
+        return _eval_rows(*rows, turn * _inverse_rows(*rows, w, errors), errors), errors
+
+    (f,), _ = expand_rows_by_degree(sample, [2 * psi.hat.degree], n_trunc, out_width)
+    return f
 
 
 @dataclass(frozen=True)

@@ -188,13 +188,15 @@ class LaurentSeries:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        entries = []
-        n_t = self.truncation
-        for i, c in enumerate(self.coeffs):
-            if abs(c) < SERIALIZATION_FLOOR:
-                continue
-            entries.append([i - n_t, float(c.real), float(c.imag)])
-        return {"N": n_t, "sigma": float(self.width), "coeffs": entries}
+        """``N``, ``sigma`` and one ``[n, re, im]`` entry per coefficient of
+        the support whose modulus is not below :data:`SERIALIZATION_FLOOR`
+        (a NaN is kept), in ascending n."""
+        n = self.support
+        c = self.coeffs[self.truncation + n]
+        keep = ~(np.abs(c) < SERIALIZATION_FLOOR)
+        entries = [list(e) for e in zip(n[keep].tolist(), c.real[keep].tolist(),
+                                        c.imag[keep].tolist())]
+        return {"N": self.truncation, "sigma": float(self.width), "coeffs": entries}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LaurentSeries":

@@ -543,6 +543,13 @@ class TestArguments:
         assert diag == strict_json(stdout)
         assert diag["C0_mode"] == 1 and diag["C0_loop"] == ["+U0->U1[-]", "-U0->U1[+]"]
 
+    def test_run_trace_carries_the_c0_of_the_diagnostics(self, genus2_run):
+        scenario, out, stdout = genus2_run
+        trace = strict_json((out / "trace.json").read_text())
+        diag = strict_json(stdout)
+        assert {k: trace[k] for k in ("C0", "C0_mode", "C0_loop")} == {
+            k: diag[k] for k in ("C0", "C0_mode", "C0_loop")}
+
     def test_unknown_log_level_exits_2(self, pair_scenario, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--log-level", "loud", "gate", str(pair_scenario)])

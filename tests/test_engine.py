@@ -438,7 +438,8 @@ class TestRun:
         # order change only by addition, on purpose
         sc = golden_scenario(1e-4, strict=False)
         doc = run(sc.system, sc.params).trace.to_json_dict()
-        assert list(doc) == ["conventions", "initial_norm_gate", "rows", "violations"]
+        assert list(doc) == ["conventions", "initial_norm_gate", "rows", "violations",
+                             "C0", "C0_mode", "C0_loop"]
         for row in doc["rows"]:
             assert list(row) == [
                 "m", "sigma", "eta", "delta", "max_hat_norm", "worst_mode_residual",
@@ -680,3 +681,22 @@ class TestCertificateLedger:
         with pytest.raises(ScheduleViolationError) as info:
             run(sc.system, sc.params)
         assert info.value.trace.to_json_dict()["initial_norm_gate"]["passed"] is False
+
+    def test_trace_json_carries_c0_as_the_gate_report(self):
+        # a fitted C0 with its mode and loop, on a run and on a strict run
+        # that the gate aborts; a given C0 names no mode
+        sc = golden_scenario(1e-4, strict=False)
+        res = run(sc.system, sc.params)
+        doc = res.trace.to_json_dict()
+        assert (doc["C0"], doc["C0_mode"], doc["C0_loop"]) == (
+            res.params.c0, res.gate.c0_mode, res.gate.c0_loop)
+        assert doc["C0_loop"] == ["+U0->U0[loop]"]
+        sc = golden_scenario(1e-4)
+        with pytest.raises(ScheduleViolationError) as info:
+            run(sc.system, sc.params)
+        aborted = info.value.trace.to_json_dict()
+        assert [aborted[k] for k in ("C0", "C0_mode", "C0_loop")] == [
+            doc[k] for k in ("C0", "C0_mode", "C0_loop")]
+        sc = golden_scenario(1e-4, strict=False, c0=2.0)
+        doc = run(sc.system, sc.params).trace.to_json_dict()
+        assert (doc["C0"], doc["C0_mode"], doc["C0_loop"]) == (2.0, None, None)
