@@ -538,13 +538,7 @@ def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> C
 
     if n_trunc is None:
         n_trunc = max(16, 2 * psi.hat.truncation)
-    rows = _rows_of([psi])
-
-    def sample(w):
-        errors: dict = {}
-        return _inverse_rows(*rows, w, errors), errors
-
-    (inv,), _ = expand_rows_by_degree(sample, [psi.hat.degree], n_trunc, out_width)
+    inv = _expand_through_inverse(psi, None, n_trunc, out_width)
     unit = unit_circle(max(4 * n_trunc, 8))
 
     # certify strictly inside the out annulus so psi's image stays evaluable
@@ -557,6 +551,42 @@ def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> C
             f"identity residual of psi^-1 o psi is {res:.3e} > 1e-9"
         )
     return inv
+
+
+def conjugated_rotation(
+    psi: CircleDiffeo, phase: float, n_trunc: int, out_width: float
+) -> CircleDiffeo:
+    """The map ``psi o R_phase o psi^{-1}`` sampled pointwise and re-expanded.
+
+    Pairs built this way from one common psi are simultaneously linearizable
+    by construction, which is what the genus-2 coboundary condition demands
+    at every level of the iteration. The samples ``psi(e^{i phase}
+    psi^{-1}(w))`` are taken on the grid of :func:`expand_rows_by_degree`,
+    started from twice psi's degree (psi and its inverse are the two
+    factors), so the cost follows psi's modes rather than ``n_trunc``. Only
+    the last attempt, on the ``max(4 n_trunc, 8)``-point grid, raises.
+    """
+    return _expand_through_inverse(psi, phase, n_trunc, out_width)
+
+
+def _expand_through_inverse(psi: CircleDiffeo, phase, n_trunc: int,
+                            width: float) -> CircleDiffeo:
+    """``psi^{-1}`` (``phase`` None) or ``psi o R_phase o psi^{-1}`` sampled
+    pointwise and expanded by :func:`expand_rows_by_degree`, from psi's
+    degree once per factor."""
+    rows = _rows_of([psi])
+    turn = None if phase is None else np.exp(1j * phase)
+
+    def sample(w):
+        errors: dict = {}
+        z = _inverse_rows(*rows, w, errors)
+        if turn is not None:
+            z = _eval_rows(*rows, turn * z, errors)
+        return z, errors
+
+    factors = 1 if turn is None else 2
+    (f,), _ = expand_rows_by_degree(sample, [factors * psi.hat.degree], n_trunc, width)
+    return f
 
 
 def apply_inverses(maps, u: np.ndarray) -> np.ndarray:

@@ -19,15 +19,14 @@ import numpy as np
 
 from .circle import (
     CircleDiffeo,
-    _eval_rows,
-    _inverse_rows,
-    _rows_of,
     apply_inverses,
     eval_diffeos,
-    expand_rows_by_degree,
     identity_map,
     unit_circle,
 )
+# builds the genus-2 pairs; it lives in circle beside invert, whose row
+# sampling it shares
+from .circle import conjugated_rotation
 from .cocycle import Edge, Nerve, TransitionSystem
 from .engine import Conjugacy, KamParams
 from .errors import ExtractionError, SchemaError, ValidationError
@@ -167,31 +166,6 @@ def build_genus2(
         sigma0,
     )
     return Scenario(name=name, system=system, params=KamParams(sigma0, **params))
-
-
-def conjugated_rotation(
-    psi: CircleDiffeo, phase: float, n_trunc: int, out_width: float
-) -> CircleDiffeo:
-    """The map ``psi o R_phase o psi^{-1}`` sampled pointwise and re-expanded.
-
-    Pairs built this way from one common psi are simultaneously linearizable
-    by construction, which is what the genus-2 coboundary condition demands
-    at every level of the iteration. The samples ``psi(e^{i phase}
-    psi^{-1}(w))`` are taken on the grid of
-    :func:`circlekam.circle.expand_rows_by_degree`, started from twice psi's
-    degree (psi and its inverse are the two factors), so the cost follows
-    psi's modes rather than ``n_trunc``. Only the last attempt, on the
-    ``max(4 n_trunc, 8)``-point grid, raises.
-    """
-    rows = _rows_of([psi])
-    turn = np.exp(1j * phase)
-
-    def sample(w):
-        errors: dict = {}
-        return _eval_rows(*rows, turn * _inverse_rows(*rows, w, errors), errors), errors
-
-    (f,), _ = expand_rows_by_degree(sample, [2 * psi.hat.degree], n_trunc, out_width)
-    return f
 
 
 @dataclass(frozen=True)
