@@ -411,17 +411,18 @@ def rotation_number(f: CircleDiffeo, iters: int = ROTATION_ITERS) -> float:
     if iters < 1000:
         raise ValidationError(f"iters must be at least 1000, got {iters}")
     base = f.phase / TWO_PI
-    positive = f.hat.coeffs[f.hat.truncation + 1 :]
-    nonzero = np.flatnonzero(positive)
-    if nonzero.size == 0:
+    degree = int(f.hat.support[-1]) if f.hat.support.size else 0
+    if degree <= 0:
         return float(base % 1.0)
 
     # the weights first: an orbit too long for memory fails at once, with
     # the size numpy could not allocate
     weights, half_weights = _bump_weights(iters), _bump_weights(iters // 2)
     # Im hat(z) / 2 pi = Im(sum_{n>=1} c_n z^n) / pi on |z| = 1, by Horner
-    # from the highest nonzero mode; scalar Python beats numpy at this size
-    horner = [complex(c) / np.pi for c in positive[: nonzero[-1] + 1][::-1]]
+    # from the highest nonzero mode down to n = 1; scalar Python beats numpy
+    # at this size
+    n_t = f.hat.truncation
+    horner = [complex(c) / np.pi for c in f.hat.coeffs[n_t + degree : n_t : -1]]
     two_pi_i = 2j * np.pi
     exp = cmath.exp
     disp = [0.0] * iters

@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("conjugacy")
     p_verify.add_argument("scenario")
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--samples", type=int, default=128)
+    p_verify.add_argument("--samples", type=int, default=engine.VERIFY_SAMPLES)
     p_verify.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -94,6 +94,9 @@ PHASE_DRIFT_TOL = 1e-10
 SYMMETRY_PROJECTION_TOL = 1e-8
 TAIL_BUDGET_FACTOR = 1e-3
 
+# Unit-circle points of a conjugacy check (``Conjugacy.residual``, ``verify``).
+VERIFY_SAMPLES = 128
+
 
 @dataclass(frozen=True)
 class KamParams:
@@ -346,7 +349,9 @@ CERTIFICATES = {
     "hat_norm_below_delta": (ScheduleViolationError, "<",
                              "certified transition-hat norm against the schedule gate"),
     "coefficient_decay": (ScheduleViolationError, "<=",
-                          "number of hats failing the per-index decay audit"),
+                          "number of hats failing the per-index decay audit; implied: "
+                          "it fails only when the hat_norm_below_delta lhs is not "
+                          "finite (_decay_failures)"),
     "change_reality_symmetry": (ScheduleViolationError, "<=",
                                 "projection size of the solved change coefficients"),
     "change_norm_power_law": (ScheduleViolationError, "<=",
@@ -523,11 +528,14 @@ def _decay_failures(hats, entry: np.ndarray) -> int:
     is not a finite number.
 
     A non-finite bound fails every such hat by definition. A finite one
-    passes: the float sum of nonnegative terms is at least each term
-    ``|c_n| e^{|n| sigma_m}``, and a finite sum means no weight overflowed,
+    passes: nonnegative terms added one by one in rounded arithmetic never
+    sum below any term ``|c_n| e^{|n| sigma_m}`` (``a + b >= a`` exactly,
+    and rounding is monotone), and a finite sum means no weight overflowed,
     so ``|n| sigma_m <= 709``; ``entry e^{-|n| sigma_m}`` then falls short of
     ``|c_n|`` by a few ulps of ``|c_n|`` at most, far below the slack
-    ``1e-12 max(entry, 1)``. A NaN coefficient makes its majorant NaN."""
+    ``1e-12 max(entry, 1)``. A NaN coefficient makes its majorant NaN. So
+    the audit is implied: a failing hat makes the largest entry, the lhs of
+    ``hat_norm_below_delta``, not finite, and that row fails too."""
     return sum(h.truncation >= 1 and not math.isfinite(e)
                for h, e in zip(hats, entry.tolist()))
 
@@ -664,7 +672,7 @@ class Conjugacy:
                           min(len(mine), len(theirs)))
                 raise ValidationError(f"conjugacy {part} differ from the system's at {at}")
 
-    def residual(self, initial: TransitionSystem, samples: int = 128) -> float:
+    def residual(self, initial: TransitionSystem, samples: int = VERIFY_SAMPLES) -> float:
         """Largest ``|charts[k](t_e u) - f_e(charts[j](u))|`` over the edges
         and ``samples`` unit-circle points; NaN if any value is NaN, so a
         comparison with the tolerance fails. ``samples`` must be at least 1:

@@ -25,7 +25,7 @@ from circlekam import (
 )
 import circlekam
 from circlekam import engine
-from circlekam.cli import _diagnose, main
+from circlekam.cli import _diagnose, build_parser, main
 
 from conftest import GOLDEN, SILVER
 
@@ -510,6 +510,11 @@ class TestMalformedNumbers:
 
 
 class TestArguments:
+    def test_verify_samples_default_is_the_engine_constant(self):
+        # one source for the count, as --iters reads ROTATION_ITERS
+        args = build_parser().parse_args(["verify", "conjugacy.json", "scenario.json"])
+        assert args.samples == engine.VERIFY_SAMPLES
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_verify_without_samples_exits_2(self, genus2_run, capsys, samples):
         # no sample points checked nothing and reported "verified"

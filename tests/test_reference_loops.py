@@ -10,9 +10,11 @@ audit in closed form) and the series document written from the support
 against the full-width forms they replaced, and ``conjugated_rotation``
 and ``invert`` on degree-sized grids against the fixed grid they replaced.
 
-Each reference below is the replaced formulation kept verbatim. Where the
-new code performs the same floating-point operations in the same order on
-every nonzero term, results must match exactly, not within a tolerance.
+Each reference below is the replaced formulation kept verbatim, except
+``majorant_loop``, which adds the same support terms as ``majorants``
+left to right in an explicit loop. Where the new code performs the same
+floating-point operations in the same order on every nonzero term,
+results must match exactly, not within a tolerance.
 The degree-sized expansion, the batched renewal and the two scenario
 builders sample a different grid and the stacked solve uses a
 pseudo-inverse instead of ``lstsq``; those match to round-off.
@@ -55,6 +57,7 @@ from circlekam.circle import (
     NOISE_FLOOR_FACTOR,
     SYMMETRY_TOL,
     ExpandInfo,
+    RotationConvergenceWarning,
     _tracked_log,
     apply_inverse,
     apply_inverses,
@@ -62,6 +65,7 @@ from circlekam.circle import (
     expand_detailed,
     expand_rows_by_degree,
     renew_rows,
+    rotation_number,
     symmetry_defect,
     unit_circle,
 )
@@ -335,16 +339,18 @@ def amplification_spectrum_full(bundle, n_max):
 
 
 def majorant_loop(s, sigma_prime, power=0):
-    """One weighted sum per series over its zero-filled 2N+1 terms."""
+    """One weighted sum per series over the terms of its support, added
+    left to right in ascending n in an explicit loop."""
     if not (0 < sigma_prime <= s.width):
         raise AnnulusDomainError(f"sigma_prime={sigma_prime} not in (0, {s.width}]")
     pos = s.support + s.truncation
     n_abs = np.abs(s.support)
-    terms = np.zeros(s.coeffs.size)
     with np.errstate(over="ignore"):
-        terms[pos] = (n_abs ** power * np.abs(s.coeffs[pos])
-                      * np.exp(n_abs * sigma_prime))
-    return float(np.sum(terms))
+        terms = n_abs ** power * np.abs(s.coeffs[pos]) * np.exp(n_abs * sigma_prime)
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return total
 
 
 def fit_diophantine_loop(spectrum, mu):
@@ -805,6 +811,7 @@ _TIED_RANK = (genus2_bundle(0.0, 1e-12), [6], np.array([[1.0, 1j, -1.0, 0.5]]))
 @settings(max_examples=150, deadline=None)
 @given(step_systems())
 @example((*_TIED_RANK, None))
+@example((*_TIED_RANK, 1e-6))
 def test_stacked_step_solve_matches_lstsq(system):
     bundle, modes, b, tol = system
     try:
@@ -817,7 +824,14 @@ def test_stacked_step_solve_matches_lstsq(system):
             assert (got.value.loop, got.value.holonomy) == (ref.loop, ref.holonomy)
         else:
             assert got.value.norm == ref.norm
-            assert got.value.residual == pytest.approx(ref.residual, rel=1e-6)
+            # max|A x - b| carries the round-off of A x: a solution off by
+            # |dx| <= u kappa |x| along the near-null direction moves A x by
+            # at most s_min |dx| = u s_max |x|, for the code and the reference
+            n = ref.mode
+            x_ref = solve_mode_lstsq(bundle, n, b[modes.index(n)], None).a
+            s_max = np.linalg.norm(mode_matrix(bundle, n), 2)
+            slack = 4.0 * np.finfo(float).eps * s_max * float(np.max(np.abs(x_ref)))
+            assert abs(got.value.residual - ref.residual) <= 1e-6 * ref.residual + slack
         return
     got = solve_modes(bundle, modes, b, tol)
     assert [s.n for s in got] == [s.n for s in want]
@@ -913,6 +927,44 @@ def test_stacked_majorants_overflow_and_domain_as_per_row():
     assert got[0] == np.inf and got[1] == majorant_loop(small, 1.0, 1)
     with pytest.raises(AnnulusDomainError):
         majorants([small, big], [0.5, 1.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_series(), symmetric_hats(), st.sampled_from([64, 1024, 4096]),
+       st.floats(0.01, 1.0), st.floats(0.0, TWO_PI, exclude_max=True))
+def test_support_sums_do_not_depend_on_truncation(s, hat, n_pad, shrink, phase):
+    # a hat and its copy zero-padded to a larger N have one support, so the
+    # sums and the rotation number keep every bit (the pairwise sum of a
+    # zero-filled 2N+1 block did not)
+    sigma = shrink * s.width
+    padded = LaurentSeries(s.dense(n_pad), s.width)
+    for power in (0, 1):
+        got = majorants([s, padded], sigma, power)
+        assert got[0] == got[1] == majorants([padded], sigma, power)[0]
+    assert majorant_norm(padded, sigma) == majorant_norm(s, sigma)
+    assert log_derivative_majorant(padded, sigma) == log_derivative_majorant(s, sigma)
+    f = CircleDiffeo(phase, hat)
+    g = CircleDiffeo(phase, LaurentSeries(hat.dense(n_pad), hat.width))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RotationConvergenceWarning)
+        assert rotation_number(g, 1000) == rotation_number(f, 1000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(majorant_rows())
+def test_majorants_within_recursive_sum_bound_of_fsum(data):
+    # k nonnegative terms added one by one err by at most (k-1)u/(1-(k-1)u)
+    # relative to the exact sum (Higham, Accuracy and Stability of Numerical
+    # Algorithms, ch. 4), below 2(k-1)u; math.fsum rounds the exact sum once
+    hats, sigmas, powers = data
+    got = majorants(hats, sigmas, powers)
+    unit = 2.0 ** -53
+    for value, s, sp, p in zip(got.tolist(), hats, sigmas, powers):
+        n_abs = np.abs(s.support)
+        terms = n_abs ** p * np.abs(s.coeffs[s.support + s.truncation]) * np.exp(n_abs * sp)
+        k = int(np.count_nonzero(terms))
+        exact = math.fsum(terms.tolist())
+        assert abs(value - exact) <= 2.0 * max(k - 1, 0) * unit * exact
 
 
 def _c0_systems(bundle):
