@@ -90,7 +90,7 @@ class CircleDiffeo:
         return self.hat.width
 
     def is_rotation(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.hat.coeffs) <= tol))
+        return bool(np.all(np.abs(self.hat.band) <= tol))
 
     def __call__(self, w):
         return eval_diffeo(self, w)
@@ -110,9 +110,9 @@ def symmetry_defect(hat: LaurentSeries) -> float:
     The max runs over the support: a pair of zeros adds exactly 0, and the
     term at -n has the bits of the one at n (the real parts add the same two
     numbers, the imaginary part is negated exactly)."""
-    n, n_t = hat.support, hat.truncation
+    n, d = hat.support, hat.degree
     with np.errstate(invalid="ignore"):
-        return float(np.max(np.abs(hat.coeffs[n_t + n] + np.conj(hat.coeffs[n_t - n])),
+        return float(np.max(np.abs(hat.band[d + n] + np.conj(hat.band[d - n])),
                             initial=0.0))
 
 
@@ -421,8 +421,8 @@ def rotation_number(f: CircleDiffeo, iters: int = ROTATION_ITERS) -> float:
     # Im hat(z) / 2 pi = Im(sum_{n>=1} c_n z^n) / pi on |z| = 1, by Horner
     # from the highest nonzero mode down to n = 1; scalar Python beats numpy
     # at this size
-    n_t = f.hat.truncation
-    horner = [complex(c) / np.pi for c in f.hat.coeffs[n_t + degree : n_t : -1]]
+    d = f.hat.degree
+    horner = [complex(c) / np.pi for c in f.hat.band[d + degree : d : -1]]
     two_pi_i = 2j * np.pi
     exp = cmath.exp
     disp = [0.0] * iters

@@ -107,6 +107,7 @@ def _cmd_run(args) -> int:
         "C0": result.params.c0,
         "C0_mode": result.gate.c0_mode,
         "C0_loop": result.gate.c0_loop,
+        "C0_mode_convergent": result.gate.c0_mode_convergent,
         "message": (
             f"converged in {result.steps} steps" if result.converged
             else f"tolerance not reached within {result.params.max_iter} steps"

@@ -325,9 +325,21 @@ def _loop_names(loop: Sequence) -> list:
 
 def closest_loop(bundle: UnitaryFlatBundle, n: int):
     """The fundamental cycle closest to resonance at mode n, as
-    :func:`_loop_names`, or None if the nerve is a forest."""
+    :func:`_loop_names`, and its rotation number (holonomy / 2 pi mod 1);
+    None if the nerve is a forest."""
     hit = _resonant_cycle(bundle, n)
-    return None if hit is None else _loop_names(hit[0])
+    return None if hit is None else (_loop_names(hit[0]), (hit[1] / TWO_PI) % 1.0)
+
+
+def is_convergent_denominator(q: int, rho: float, q_max: int) -> bool:
+    """Whether q is a convergent denominator ``q_k <= q_max`` of rho mod 1,
+    ``q_{k+1} = a_{k+1} q_k + q_{k-1}``, ``q_{-1} = 0``, ``q_0 = 1`` (Khinchin,
+    *Continued Fractions*, ch. 1); a quotient beyond ``q_max`` ends the walk."""
+    x, q_prev, q_k = rho % 1.0, 0, 1
+    while q_k < q and x * (q_max + 1) > 1.0:
+        a, x = divmod(1.0 / x, 1.0)
+        q_prev, q_k = q_k, int(a) * q_k + q_prev
+    return q_k == q <= q_max
 
 
 def _raise_if_resonant(bundle: UnitaryFlatBundle, n: int) -> None:

@@ -58,6 +58,7 @@ from .cocycle import (
     UnitaryFlatBundle,
     closest_loop,
     fit_c0,
+    is_convergent_denominator,
     power_or_inf,
     solve_modes,
 )
@@ -398,6 +399,7 @@ class IterationTrace:
     c0: float | None = None
     c0_mode: int | None = None
     c0_loop: list | None = None
+    c0_mode_convergent: bool | None = None
 
     @property
     def violations(self) -> list:
@@ -421,6 +423,7 @@ class IterationTrace:
             "C0": self.c0,
             "C0_mode": self.c0_mode,
             "C0_loop": self.c0_loop,
+            "C0_mode_convergent": self.c0_mode_convergent,
         }
 
 
@@ -436,6 +439,7 @@ class GateReport:
     per_edge: tuple   # (edge str, majorant, margin, passed)
     c0_mode: int | None = None    # mode whose ratio sets a fitted C0
     c0_loop: list | None = None   # fundamental cycle closest to resonance there
+    c0_mode_convergent: bool | None = None   # c0_mode is a q_k of its rotation number
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
     def to_json_dict(self) -> dict:
@@ -446,6 +450,7 @@ class GateReport:
             "C0": self.c0_used,
             "C0_mode": self.c0_mode,
             "C0_loop": self.c0_loop,
+            "C0_mode_convergent": self.c0_mode_convergent,
             "C1": self.c1,
             "eta0": self.eta0,
             "per_edge": [
@@ -458,10 +463,12 @@ class GateReport:
 def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
     """Compare every edge's certified hat majorant at sigma0 against the gate
     ``min(eta0, eta0^(mu+1) / ((1 + e^sigma0) C1 mu))``. Pure report. A
-    fitted C0 is reported with its mode and the loop closest to resonance
-    at that mode; on a forest no loop names the mode, and both are None."""
+    fitted C0 is reported with its mode, the loop closest to resonance there
+    and whether the mode is a convergent denominator q_k <= N of that loop's
+    rotation number; on a forest no loop names the mode: all three are None."""
     params, c0_mode = _fit_c0(system, params)
-    c0_loop = None if c0_mode is None else closest_loop(system.bundle(), c0_mode)
+    hit = None if c0_mode is None else closest_loop(system.bundle(), c0_mode)
+    c0_loop, rho = (None, None) if hit is None else hit
     gate = float(params.delta0)
     majs = majorants([f.hat for f in system.transitions], params.sigma0).tolist()
     per_edge = [(str(e), maj, gate - maj, maj < gate)
@@ -475,6 +482,8 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
         per_edge=tuple(per_edge),
         c0_mode=None if c0_loop is None else c0_mode,
         c0_loop=c0_loop,
+        c0_mode_convergent=None if hit is None else is_convergent_denominator(
+            c0_mode, rho, params.n_trunc),
     )
 
 
@@ -746,6 +755,7 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         if params.c0 is None:
             params = params.with_c0(gate.c0_used)
         trace.c0, trace.c0_mode, trace.c0_loop = params.c0, gate.c0_mode, gate.c0_loop
+        trace.c0_mode_convergent = gate.c0_mode_convergent
         _certify(trace.entry, "initial_norm_gate",
                  np.max([row[1] for row in gate.per_edge], initial=0.0), gate.gate_value)
         phis = {c: identity_map(params.sigma0) for c in system.nerve.charts}

@@ -1,7 +1,7 @@
 """Truncated Laurent series on annuli ``{e^{-sigma} < |w| < e^{sigma}}``.
 
-A :class:`LaurentSeries` stores coefficients ``c_n`` for ``|n| <= N`` together
-with the log-radius ``width`` of the annulus on which it is taken to be valid.
+A :class:`LaurentSeries` of truncation N stores its band of coefficients
+``c_n``, ``|n| <= degree <= N``, and the log-radius ``width`` of its annulus.
 The weighted coefficient sum ``sum |c_n| e^{|n| sigma'}`` is an exact upper
 bound for the sup of the series on the closed ``sigma'``-annulus, and it is
 the norm every schedule comparison in the iteration engine uses; pointwise
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,117 +55,115 @@ def _boolean(value) -> bool:
     return value
 
 
-def _coeff_array(coeffs: Mapping[int, complex], n_trunc: int) -> np.ndarray:
-    arr = np.zeros(2 * n_trunc + 1, dtype=complex)
-    for n, c in coeffs.items():
-        n = int(n)
-        if abs(n) > n_trunc:
-            raise AnnulusDomainError(
-                f"coefficient index {n} exceeds truncation {n_trunc}"
-            )
-        arr[n + n_trunc] = complex(c)
-    return arr
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LaurentSeries:
-    """Finitely truncated two-sided power series on an annulus.
+    """Finitely truncated two-sided power series on an annulus, held as its
+    band: the coefficients ``|n| <= degree`` and the truncation N, so a
+    series costs what its nonzero modes cost, whatever N.
 
     Parameters
     ----------
     coeffs:
         Dense array of length ``2N+1``; entry ``i`` is the coefficient of
-        ``w^(i-N)``. Use :meth:`from_coeffs` to build from a sparse mapping.
+        ``w^(i-N)``. Only its band is kept: the :attr:`coeffs` view rebuilds
+        the array at O(N) cost per access, and no library path reads it. Use
+        :meth:`from_coeffs` to build from a sparse mapping, :meth:`from_band`
+        from a band.
     width:
         Log-radius ``sigma > 0`` of the annulus of validity.
     """
 
-    coeffs: np.ndarray
+    band: np.ndarray   # read-only; the coefficient of w^n at index degree + n
     width: float
+    truncation: int    # N: the series vanishes beyond |n| = N
+    # read-only ascending mode indices n with a nonzero coefficient
+    support: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
+    def __init__(self, coeffs: np.ndarray, width: float):
+        arr = np.asarray(coeffs, dtype=complex)
         if arr.ndim != 1 or arr.size % 2 != 1:
             raise AnnulusDomainError("coefficient array must have odd length")
-        if not (self.width > 0):
-            raise AnnulusDomainError(f"width must be positive, got {self.width}")
-        # a read-only array that owns its data is shared, any other copied
-        if arr.flags.writeable or arr.base is not None:
-            arr = arr.copy()
+        self._hold(arr, width, (arr.size - 1) // 2)
+
+    def _hold(self, band: np.ndarray, width: float, n_trunc: int) -> None:
+        """Keep ``band`` (length 2k+1, ``w^n`` at index ``k + n``) cut to its
+        degree d, as a read-only copy of 2d+1 entries, with its support."""
+        if not (width > 0):
+            raise AnnulusDomainError(f"width must be positive, got {width}")
+        k = (band.shape[-1] - 1) // 2
+        support = np.flatnonzero(band) - k
+        d = int(np.max(np.abs(support), initial=0))
+        band = band[k - d : k + d + 1].copy()
+        for arr in (band, support):
             arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        self.__dict__.update(band=band, width=width, truncation=int(n_trunc), support=support)
 
     @classmethod
     def from_coeffs(
         cls, coeffs: Mapping[int, complex], width: float, n_trunc: int | None = None
     ) -> "LaurentSeries":
-        if n_trunc is None:
-            n_trunc = max((abs(int(n)) for n in coeffs), default=0)
-        return cls(_coeff_array(coeffs, n_trunc), width)
+        """The series of truncation ``n_trunc`` (default: the largest |n|)
+        with the coefficients ``{n: c_n}``, from a band of 2 max|n| + 1."""
+        k = max((abs(int(n)) for n in coeffs), default=0)
+        n_trunc = k if n_trunc is None else n_trunc
+        if k > n_trunc:
+            raise AnnulusDomainError(f"coefficient index {k} exceeds truncation {n_trunc}")
+        band = np.zeros(2 * k + 1, dtype=complex)
+        for n, c in coeffs.items():
+            band[int(n) + k] = complex(c)
+        return cls.from_band(band, width, n_trunc)
 
     @classmethod
     def from_band(cls, band: np.ndarray, width: float, n_trunc: int) -> "LaurentSeries":
         """The series of truncation ``n_trunc`` whose coefficients ``|n| <= k``
-        are ``band`` (length 2k+1, k <= n_trunc, ``w^n`` at index ``k + n``)
-        and zero beyond: one dense allocation, and the support read off the
-        band, so past that allocation the cost follows k, not ``n_trunc``."""
-        k = (band.shape[-1] - 1) // 2
-        coeffs = np.zeros(2 * n_trunc + 1, dtype=complex)
-        coeffs[n_trunc - k : n_trunc + k + 1] = band
-        coeffs.setflags(write=False)
-        series = cls(coeffs, width)
-        support = np.flatnonzero(band) - k
-        support.setflags(write=False)
-        series.__dict__["support"] = support   # the cached property's value
+        are ``band`` (length 2k+1, ``w^n`` at index ``k + n``) and zero
+        beyond: the band is kept cut to its degree, with no 2N+1 array."""
+        series = cls.__new__(cls)
+        series._hold(np.asarray(band, dtype=complex), width, n_trunc)
         return series
 
     @classmethod
     def zero(cls, width: float, n_trunc: int = 0) -> "LaurentSeries":
-        return cls(np.zeros(2 * n_trunc + 1, dtype=complex), width)
+        return cls.from_band(np.zeros(1, dtype=complex), width, n_trunc)
 
     @property
-    def truncation(self) -> int:
-        return (self.coeffs.size - 1) // 2
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """Ascending mode indices n with a nonzero coefficient, computed once
-        per series (the coefficients are read-only)."""
-        nonzero = np.flatnonzero(self.coeffs) - self.truncation
-        nonzero.setflags(write=False)
-        return nonzero
+    def coeffs(self) -> np.ndarray:
+        """The dense read-only coefficients ``|n| <= N`` (``w^n`` at index
+        ``N + n``), built on each access at O(N) cost; no library path reads
+        them (tests, demos and benchmarks do)."""
+        out = self.dense(self.truncation)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def rows(self) -> "SeriesRows":
         """This series as the one row of a :class:`SeriesRows`, built once
         (the coefficients are read-only)."""
-        return SeriesRows(self.coeffs[None], [self.width], self.support)
+        return SeriesRows(self.band[None], [self.width], self.support)
 
     @cached_property
     def degree(self) -> int:
         """Effective degree: the largest |n| with a nonzero coefficient
         (0 for a constant or zero series)."""
-        return int(np.max(np.abs(self.support), initial=0))
+        return (self.band.size - 1) // 2
 
     def coeff(self, n: int) -> complex:
-        """Coefficient of ``w^n`` (zero beyond the truncation)."""
-        if abs(n) > self.truncation:
+        """Coefficient of ``w^n`` (zero beyond the degree)."""
+        if abs(n) > self.degree:
             return 0.0 + 0.0j
-        return complex(self.coeffs[n + self.truncation])
+        return complex(self.band[n + self.degree])
 
     def dense(self, n_trunc: int) -> np.ndarray:
         """Coefficients of ``w^n`` for ``|n| <= n_trunc`` at index
         ``n + n_trunc``, zero-padded or cut from this series."""
         out = np.zeros(2 * n_trunc + 1, dtype=complex)
-        k = min(n_trunc, self.truncation)
-        n_t = self.truncation
-        out[n_trunc - k : n_trunc + k + 1] = self.coeffs[n_t - k : n_t + k + 1]
+        k, d = min(n_trunc, self.degree), self.degree
+        out[n_trunc - k : n_trunc + k + 1] = self.band[d - k : d + k + 1]
         return out
 
     def with_width(self, width: float) -> "LaurentSeries":
-        """The same coefficients on another annulus, copied: sharing them
-        raised peak memory by about 0.5 MB in genus-2 pool builds."""
-        return LaurentSeries.from_band(self.coeffs, width, self.truncation)
+        """The same coefficients and truncation on another annulus."""
+        return LaurentSeries.from_band(self.band, width, self.truncation)
 
     def retruncate(self, n_trunc: int) -> tuple["LaurentSeries", float]:
         """Drop coefficients beyond ``n_trunc``.
@@ -174,16 +172,15 @@ class LaurentSeries:
         ``sum_{|n|>n_trunc} |c_n|`` (sup-norm bound of the discarded tail on
         the unit circle).
         """
-        old = self.truncation
-        if n_trunc >= old:
+        if n_trunc >= self.truncation:
             return self, 0.0
-        lo = old - n_trunc
-        hi = old + n_trunc + 1
-        discarded = float(np.sum(np.abs(self.coeffs[:lo])) + np.sum(np.abs(self.coeffs[hi:])))
-        return LaurentSeries(self.coeffs[lo:hi], self.width), discarded
+        d = self.degree
+        lo, hi = max(d - n_trunc, 0), d + n_trunc + 1
+        discarded = float(np.sum(np.abs(self.band[:lo])) + np.sum(np.abs(self.band[hi:])))
+        return LaurentSeries.from_band(self.band[lo:hi], self.width, n_trunc), discarded
 
     def scale(self, factor: complex) -> "LaurentSeries":
-        return LaurentSeries(self.coeffs * factor, self.width)
+        return LaurentSeries.from_band(self.band * factor, self.width, self.truncation)
 
     # -- serialization -----------------------------------------------------
 
@@ -192,7 +189,7 @@ class LaurentSeries:
         the support whose modulus is not below :data:`SERIALIZATION_FLOOR`
         (a NaN is kept), in ascending n."""
         n = self.support
-        c = self.coeffs[self.truncation + n]
+        c = self.band[self.degree + n]
         keep = ~(np.abs(c) < SERIALIZATION_FLOOR)
         entries = [list(e) for e in zip(n[keep].tolist(), c.real[keep].tolist(),
                                         c.imag[keep].tolist())]
@@ -338,7 +335,7 @@ def majorants(hats: Sequence[LaurentSeries], sigmas, power=0) -> np.ndarray:
         return np.zeros(0)
     row = np.arange(count).repeat([s.support.size for s in hats])
     n = np.concatenate([s.support for s in hats])
-    c = np.concatenate([s.coeffs[s.support + s.truncation] for s in hats])
+    c = np.concatenate([s.band[s.support + s.degree] for s in hats])
     n_abs = np.abs(n)
     with np.errstate(over="ignore"):
         terms = n_abs ** pw[row] * np.abs(c) * np.exp(n_abs * sig[row])
@@ -488,7 +485,7 @@ def decay_checks(
             out.append(DecayReport(bound, passed=s.truncation == 0))
             continue
         n = s.support[s.support != 0]
-        c = s.coeffs[n + s.truncation]
+        c = s.band[n + s.degree]
         # hypot is the modulus Python's abs(complex) computes; numpy's
         # complex absolute may differ from it in the last bit
         excess = np.hypot(c.real, c.imag) - bound * np.exp(-np.abs(n) * s.width)

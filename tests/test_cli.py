@@ -159,6 +159,11 @@ class TestGate:
         assert doc["C0_mode"] == 1
         assert doc["C0_loop"] == ["+U0->U1[-]", "-U0->U1[+]"]
 
+    def test_reports_whether_the_c0_mode_is_convergent(self, pair_scenario, capsys):
+        assert main(["gate", str(pair_scenario)]) == 0
+        doc = read_stdout_json(capsys)
+        assert doc["C0_mode"] == 1 and doc["C0_mode_convergent"] is True
+
     def test_debug_log_goes_to_stderr_only(self, pair_scenario, capsys):
         assert main(["gate", str(pair_scenario)]) == 0
         quiet = capsys.readouterr()
@@ -554,6 +559,15 @@ class TestArguments:
         diag = strict_json(stdout)
         assert {k: trace[k] for k in ("C0", "C0_mode", "C0_loop")} == {
             k: diag[k] for k in ("C0", "C0_mode", "C0_loop")}
+
+    def test_run_reports_whether_the_c0_mode_is_convergent(self, genus2_run):
+        # mode 1 is q_0 = 1 of every rotation number: a convergent denominator
+        scenario, out, stdout = genus2_run
+        trace = strict_json((out / "trace.json").read_text())
+        diag = strict_json(stdout)
+        assert diag["C0_mode"] == 1 and diag["C0_mode_convergent"] is True
+        assert trace["C0_mode_convergent"] == diag["C0_mode_convergent"]
+        assert strict_json((out / "diagnostics.json").read_text()) == diag
 
     def test_unknown_log_level_exits_2(self, pair_scenario, capsys):
         with pytest.raises(SystemExit) as exc:

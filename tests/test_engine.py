@@ -22,6 +22,7 @@ from circlekam import (
     build_single_chart,
     conjugated_rotation,
     eval_diffeo,
+    extract_simultaneous,
     gate_check,
     kam_step,
     run,
@@ -228,6 +229,58 @@ class TestGate:
         tree = cocycle.TransitionSystem(nerve, (edge_map,), 1.0)
         rep = gate_check(tree, KamParams(sigma0=1.0, eta0=0.05, n_trunc=8))
         assert rep.c0_used > 0 and (rep.c0_mode, rep.c0_loop) == (None, None)
+
+
+    @pytest.mark.parametrize("n_trunc,mode", [(64, 55), (256, 233), (1000, 987)])
+    def test_c0_mode_is_a_convergent_denominator_at_the_golden_mean(self, n_trunc, mode):
+        # with mu < 2 the ratio A_n / n^(mu-1) grows along the Fibonacci
+        # numbers, the convergent denominators of the golden mean
+        hat = LaurentSeries.from_coeffs({1: 1e-4, -1: -1e-4}, width=1.0)
+        sc = build_single_chart(GOLDEN, hat, 1.0, mu=1.5, n_trunc=n_trunc,
+                                strict_schedule=False)
+        rep = gate_check(sc.system, sc.params)
+        assert rep.c0_mode == mode and rep.c0_mode_convergent is True
+        assert rep.to_json_dict()["C0_mode_convergent"] is True
+        res = run(sc.system, sc.params)
+        assert res.trace.to_json_dict()["C0_mode_convergent"] is True
+
+    @pytest.mark.parametrize("stream,n_trunc,count", [(1, 1024, 16), (4, 64, 8)])
+    def test_c0_mode_is_convergent_on_the_seed_1_genus2_pools(self, stream, n_trunc, count):
+        # the genus-2 pools of seed 1 (rng stream 1 at N=1024, stream 4 at
+        # N=64), built as the benchmark builds them
+        rng = np.random.default_rng([1, stream])
+        for _ in range(count):
+            th1, th2 = safe_rotation_numbers(rng, 2)
+            psi = CircleDiffeo(0.0, random_symmetric_hat(rng, 1.2, 5e-5))
+            sc = build_genus2(conjugated_rotation(psi, TWO_PI * th1, n_trunc, 1.0),
+                              conjugated_rotation(psi, TWO_PI * th2, n_trunc, 1.0),
+                              1.0, eta0=0.05, n_trunc=n_trunc, strict_schedule=False)
+            rep = gate_check(sc.system, sc.params)
+            assert rep.c0_mode_convergent is True, (rep.c0_mode, rep.c0_loop)
+
+    def test_convergent_flag_is_null_without_a_fitted_mode(self):
+        sc = golden_scenario(1e-4, c0=2.0)
+        assert gate_check(sc.system, sc.params).to_json_dict()["C0_mode_convergent"] is None
+        nerve = cocycle.Nerve(("A", "B"), (cocycle.Edge("A", "B", "t"),))
+        tree = cocycle.TransitionSystem(
+            nerve, (CircleDiffeo(0.4, LaurentSeries.zero(1.0, 8)),), 1.0)
+        rep = gate_check(tree, KamParams(sigma0=1.0, eta0=0.05, n_trunc=8))
+        assert rep.c0_mode_convergent is None
+        assert run(tree, KamParams(sigma0=1.0, eta0=0.05, n_trunc=8)).trace.c0_mode_convergent is None
+
+    def test_convergent_denominators(self):
+        fib = [q for q in range(1, 100) if cocycle.is_convergent_denominator(q, GOLDEN, 1000)]
+        assert fib == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+        pell = [q for q in range(1, 100)
+                if cocycle.is_convergent_denominator(q, math.sqrt(2.0) - 1.0, 1000)]
+        assert pell == [1, 2, 5, 12, 29, 70]
+        # rho and rho + 1 have the same convergents; 1/4 has q = 1, 4 only
+        assert cocycle.is_convergent_denominator(12, math.sqrt(2.0), 100)
+        assert [q for q in range(1, 9) if cocycle.is_convergent_denominator(q, 0.25, 8)] == [1, 4]
+        # a denominator beyond q_max is not taken; rho = 0 has q = 1 only
+        assert not cocycle.is_convergent_denominator(89, GOLDEN, 88)
+        assert cocycle.is_convergent_denominator(1, 0.0, 10)
+        assert not cocycle.is_convergent_denominator(2, 0.0, 10)
 
 
 class TestKamStep:
@@ -439,7 +492,7 @@ class TestRun:
         sc = golden_scenario(1e-4, strict=False)
         doc = run(sc.system, sc.params).trace.to_json_dict()
         assert list(doc) == ["conventions", "initial_norm_gate", "rows", "violations",
-                             "C0", "C0_mode", "C0_loop"]
+                             "C0", "C0_mode", "C0_loop", "C0_mode_convergent"]
         for row in doc["rows"]:
             assert list(row) == [
                 "m", "sigma", "eta", "delta", "max_hat_norm", "worst_mode_residual",
@@ -507,6 +560,43 @@ class TestRun:
                 for name, rec in certs.items()]
 
         assert lhs(large) == lhs(small)
+
+    def test_hat_truncation_is_never_materialized(self, monkeypatch):
+        # a genus-2 pair at N=1024 and the same hats declared at N=10^12: a
+        # hat costs its band, and no library path reads the dense coeffs
+        # (2 * 10^12 + 1 entries, which no machine can allocate)
+        rng = np.random.default_rng(1)
+        th1, th2 = safe_rotation_numbers(rng, 2)
+        psi = CircleDiffeo(0.0, random_symmetric_hat(rng, 1.2, 5e-5))
+        sc = build_genus2(conjugated_rotation(psi, TWO_PI * th1, 1024, 1.0),
+                          conjugated_rotation(psi, TWO_PI * th2, 1024, 1.0),
+                          1.0, eta0=0.05, n_trunc=1024, strict_schedule=False)
+        huge = dataclasses.replace(sc, system=TransitionSystem(
+            sc.system.nerve,
+            tuple(CircleDiffeo(f.phase, LaurentSeries.from_band(f.hat.band, f.hat.width, 10**12))
+                  for f in sc.system.transitions),
+            sc.system.width))
+        assert all(f.hat.truncation == 10**12 for f in huge.system.transitions)
+
+        def dense_read(hat):
+            raise AssertionError("a library path read LaurentSeries.coeffs")
+
+        monkeypatch.setattr(LaurentSeries, "coeffs", property(dense_read))
+
+        def outputs(scenario):
+            res = run(scenario.system, scenario.params)
+            trace = res.trace.to_json_dict()
+            for row in trace["rows"]:
+                del row["wall_ms"], row["phase_ms"]
+            sim = extract_simultaneous(res.conjugacy, scenario)
+            return (res.steps, res.converged, res.conjugation_residual, trace,
+                    res.gate.to_json_dict(), res.conjugacy.to_json_dict(),
+                    gate_check(scenario.system, scenario.params).to_json_dict(),
+                    sim.to_json_dict(), alpha_vs_rotation(scenario.system, iters=1000))
+
+        want = outputs(sc)
+        assert want[1] and want[0] >= 1
+        assert outputs(huge) == want
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_residual_needs_a_sample(self, samples):

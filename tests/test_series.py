@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,18 +9,23 @@ from hypothesis import strategies as st
 
 from circlekam import (
     AnnulusDomainError,
+    CircleDiffeo,
     InsufficientSamplesError,
     LaurentSeries,
+    RotationConvergenceWarning,
     coeffs_from_circle,
+    conjugated_rotation,
     decay_check,
     empirical_sup_norm,
     eval_series,
     log_derivative_majorant,
     majorant_norm,
+    rotation_number,
 )
-from circlekam.series import SeriesRows, empirical_sup_norms
+from circlekam.circle import symmetry_defect
+from circlekam.series import SeriesRows, empirical_sup_norms, majorants
 
-from conftest import random_symmetric_hat
+from conftest import random_symmetric_hat, safe_rotation_numbers
 
 
 class TestEval:
@@ -307,3 +313,92 @@ class TestRetruncate:
             got = s.dense(n_t)
             assert got.shape == (2 * n_t + 1,)
             assert all(got[n + n_t] == s.coeff(n) for n in range(-n_t, n_t + 1))
+
+
+# a band of degree d <= 40 declared at these truncations, the last far
+# beyond what a dense 2N+1 array could hold
+TRUNCATIONS = (64, 4096, 10**12)
+MAX_BAND_DEGREE = 40
+
+
+@st.composite
+def bands(draw):
+    """A band of length 2d+1, d <= 40, with a nonzero coefficient at |n| = d
+    (d > 0) and zeros among the others."""
+    d = draw(st.integers(0, MAX_BAND_DEGREE))
+    part = st.floats(-1e-3, 1e-3, allow_nan=False, allow_subnormal=False)
+    coeff = st.one_of(st.just(0j), st.builds(complex, part, part))
+    band = np.array(draw(st.lists(coeff, min_size=2 * d + 1, max_size=2 * d + 1)),
+                    dtype=complex)
+    if d:
+        band[draw(st.sampled_from([0, 2 * d]))] = complex(draw(st.floats(1e-6, 1e-3)))
+    return band
+
+
+def _held_bytes(hat):
+    return sum(a.nbytes for a in vars(hat).values() if isinstance(a, np.ndarray))
+
+
+class TestBandStorage:
+    @settings(max_examples=30, deadline=None)
+    @given(band=bands(), width=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_results_and_storage_do_not_depend_on_the_truncation(self, band, width, seed):
+        d = (band.size - 1) // 2
+        hats = [LaurentSeries.from_band(band, width, n) for n in (d, *TRUNCATIONS)]
+        # a dense array zero-padded to N keeps the same band
+        hats += [LaurentSeries(np.pad(band, n - d), width) for n in (d, 64)]
+        rng = np.random.default_rng(seed)
+        w = np.exp(rng.uniform(-0.99, 0.99, 16) * width + 1j * rng.uniform(0, 2 * np.pi, 16))
+        sym = 0.5 * (band - np.conj(band[::-1]))
+        sym[d] = 0.0
+        sym *= 1e-3 / max(1.0, float(np.sum(np.abs(sym) * np.abs(np.arange(-d, d + 1)))))
+        phase = 2 * np.pi * rng.random()
+
+        def results(hat):
+            doc = hat.to_json_dict()
+            del doc["N"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RotationConvergenceWarning)
+                rho = rotation_number(CircleDiffeo(phase, LaurentSeries.from_band(
+                    sym, width, hat.truncation)), iters=1000)
+            return (hat.support.tobytes(), hat.degree,
+                    [hat.dense(k).tobytes() for k in range(d + 1)],
+                    majorants([hat, hat], width, [0, 1]).tobytes(),
+                    symmetry_defect(hat), SeriesRows.of([hat])(w).tobytes(),
+                    eval_series(hat, w).tobytes(), doc, rho)
+
+        want = results(hats[0])
+        assert want[1] == d
+        for hat in hats[1:]:
+            assert results(hat) == want
+        held = [_held_bytes(hat) for hat in hats]
+        assert held == [held[0]] * len(hats)
+        assert all(hat.band.nbytes <= 16 * (2 * d + 1) for hat in hats)
+        # the constant: the support index, 8 bytes a nonzero mode, at most
+        # 2 * 40 + 1 of them
+        assert held[0] <= 16 * (2 * d + 1) + 8 * (2 * MAX_BAND_DEGREE + 1)
+
+    def test_pool_memory_does_not_grow_with_the_truncation(self):
+        # 16 genus-2 pairs built by conjugated_rotation hold about the same
+        # live memory at N=64 and at N=4096: each hat is its band
+        def pool(n_trunc):
+            rng = np.random.default_rng([1, 1])
+            pairs = []
+            for _ in range(16):
+                th1, th2 = safe_rotation_numbers(rng, 2)
+                psi = CircleDiffeo(0.0, random_symmetric_hat(rng, 1.2, 5e-5))
+                pairs.append(tuple(conjugated_rotation(psi, 2 * np.pi * th, n_trunc, 1.0)
+                                   for th in (th1, th2)))
+            return pairs
+
+        live = {}
+        for n_trunc in (64, 4096):
+            pool(n_trunc)   # the shared unit-circle grids are cached once
+            tracemalloc.start()
+            try:
+                held = pool(n_trunc)
+                live[n_trunc] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert all(f.hat.truncation == n_trunc for pair in held for f in pair)
+        assert max(live.values()) <= 1.2 * min(live.values()), live
