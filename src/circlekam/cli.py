@@ -5,11 +5,12 @@ Subcommands: ``run`` (full pipeline), ``gate`` (entry gate report),
 power-law fit), ``verify`` (conjugacy residual check). Exit codes: 0 success,
 2 validation error, 3 convergence or certificate failure. Every command
 prints a machine-readable JSON report to stdout; ``run`` also writes trace
-CSV/JSON, conjugacy JSON, and diagnostics JSON next to ``--out``. All JSON is
-strict: a non-finite number is written as ``null``. An error is reported by
-one handler in :func:`main` (``run`` writes its files in its own), from the
-``outcome`` and ``fields`` of its class; a size too large for memory is a
-validation error. ``--log-level`` sends the library's
+CSV/JSON, conjugacy JSON, and diagnostics JSON next to ``--out``. Documents
+pass one reader and one strict writer (:mod:`circlekam.scenarios`): an
+undecodable file, an unwritable output and a size too large for memory are
+validation errors; a non-finite number is written as ``null``. One handler in
+:func:`main` reports an error (``run`` writes its files in its own) from the
+``outcome`` and ``fields`` of its class. ``--log-level`` sends the library's
 log records to stderr (default WARNING); stdout is the same at every level.
 """
 
@@ -17,17 +18,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import logging
-import math
 import sys
 from pathlib import Path
 
 from . import engine
 from .circle import ROTATION_ITERS
 from .cocycle import amplification_spectrum, fit_diophantine
-from .errors import CertificateError, CircleKamError, SchemaError, ValidationError
-from .scenarios import Scenario
+from .errors import CertificateError, CircleKamError, ValidationError
+from .scenarios import Scenario, dumps, read_document, write_document
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,29 +47,6 @@ def _diagnose(exc: CircleKamError | MemoryError) -> tuple[dict, int]:
     return diag, EXIT_FAILURE if isinstance(exc, CertificateError) else EXIT_VALIDATION
 
 
-def _finite(obj):
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(v) for v in obj]
-    return obj
-
-
-def _dumps(doc: dict) -> str:
-    """Strict JSON: a NaN or infinite float is written as null."""
-    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
-
-
-def _emit(doc: dict) -> None:
-    print(_dumps(doc))
-
-
-def _write(path: Path, doc: dict | str) -> None:
-    path.write_text(doc if isinstance(doc, str) else _dumps(doc))
-
-
 def _cmd_run(args) -> int:
     out_dir = Path(args.out)
     try:
@@ -86,50 +62,46 @@ def _cmd_run(args) -> int:
         diag, code = _diagnose(exc)
         trace = getattr(exc, "trace", None)
         if trace is not None:
-            _write(out_dir / "trace.csv", trace.to_csv())
-            _write(out_dir / "trace.json", trace.to_json_dict())
-        _write(out_dir / "diagnostics.json", diag)
-        _emit(diag)
+            write_document(out_dir / "trace.csv", trace.to_csv())
+            write_document(out_dir / "trace.json", trace.to_json_dict())
+        write_document(out_dir / "diagnostics.json", diag)
+        print(dumps(diag))
         return code
 
-    outputs = scenario.outputs
-    if "trace" in outputs:
-        _write(out_dir / "trace.csv", result.trace.to_csv())
-        _write(out_dir / "trace.json", result.trace.to_json_dict())
-    if "conjugacy" in outputs:
-        _write(out_dir / "conjugacy.json", result.conjugacy.to_json_dict())
+    if "trace" in scenario.outputs:
+        write_document(out_dir / "trace.csv", result.trace.to_csv())
+        write_document(out_dir / "trace.json", result.trace.to_json_dict())
+    if "conjugacy" in scenario.outputs:
+        write_document(out_dir / "conjugacy.json", result.conjugacy.to_json_dict())
     diag = {
         "outcome": result.outcome if result.converged else "non_convergence",
         "converged": result.converged,
         "steps": result.steps,
         "conjugation_residual": result.conjugation_residual,
         "gate_passed": result.gate.passed,
-        "C0": result.params.c0,
-        "C0_mode": result.gate.c0_mode,
-        "C0_loop": result.gate.c0_loop,
-        "C0_mode_convergent": result.gate.c0_mode_convergent,
+        **engine.GateReport.c0_record(result.gate),
         "message": (
             f"converged in {result.steps} steps" if result.converged
             else f"tolerance not reached within {result.params.max_iter} steps"
         ),
         "conventions": dict(engine.CONVENTIONS),
     }
-    if "diagnostics" in outputs:
-        _write(out_dir / "diagnostics.json", diag)
-    _emit(diag)
+    if "diagnostics" in scenario.outputs:
+        write_document(out_dir / "diagnostics.json", diag)
+    print(dumps(diag))
     return EXIT_OK if result.converged else EXIT_FAILURE
 
 
 def _cmd_gate(args) -> int:
     scenario = Scenario.load(args.scenario)
     report = engine.gate_check(scenario.system, scenario.params)
-    _emit(report.to_json_dict())
+    print(dumps(report.to_json_dict()))
     return EXIT_OK if report.passed else EXIT_FAILURE
 
 
 def _cmd_rotnum(args) -> int:
     scenario = Scenario.load(args.scenario)
-    _emit({"edges": engine.alpha_vs_rotation(scenario.system, iters=args.iters)})
+    print(dumps({"edges": engine.alpha_vs_rotation(scenario.system, iters=args.iters)}))
     return EXIT_OK
 
 
@@ -141,24 +113,20 @@ def _cmd_dioph(args) -> int:
     doc = fit_diophantine(spectrum, mu).to_json_dict()
     doc["spectrum"] = {str(n): a for n, a in sorted(spectrum.items())}
     doc["conventions"] = dict(engine.CONVENTIONS)
-    _emit(doc)
+    print(dumps(doc))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     scenario = Scenario.load(args.scenario)
-    try:
-        doc = json.loads(Path(args.conjugacy).read_text())
-        conj = engine.Conjugacy.from_json_dict(doc)
-        residual = conj.residual(scenario.system, samples=args.samples)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(str(exc)) from exc
+    conj = engine.Conjugacy.from_json_dict(read_document(args.conjugacy, "conjugacy"))
+    residual = conj.residual(scenario.system, samples=args.samples)
     ok = residual <= args.tol
-    _emit({
+    print(dumps({
         "outcome": "verified" if ok else "verification_failed",
         "residual": residual,
         "tol": args.tol,
-    })
+    }))
     return EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -226,7 +194,7 @@ def main(argv=None) -> int:
             return args.fn(args)
         except (CircleKamError, MemoryError) as exc:
             diag, code = _diagnose(exc)
-            _emit(diag)
+            print(dumps(diag))
             return code
 
 

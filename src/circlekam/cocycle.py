@@ -586,8 +586,10 @@ def fit_c0(bundle: UnitaryFlatBundle, n_max: int, mu: float) -> tuple:
     first reports no other resonance. On a forest the bound proves no mode
     full rank, and every mode is factored. The bound runs over all n_max
     modes, once per run: a proven C0 has to cover every mode, not only
-    the populated ones.
+    the populated ones. A nerve without edges raises: no mode bounds C0.
     """
+    if not bundle.nerve.edges:
+        raise ValidationError("the nerve has no edges: no mode bounds C0; give C0 in params")
     if n_max < 1 or not 1 < mu < np.inf:
         raise ValidationError(f"need n_max >= 1 and 1 < mu < inf, got {n_max}, {mu}")
     modes = np.arange(1, n_max + 1)

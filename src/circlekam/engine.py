@@ -394,12 +394,7 @@ class IterationTrace:
     # the run's entry report, holding its initial_norm_gate record; its
     # ledger is written to trace.json only, as a top-level key
     entry: StepReport = field(default_factory=lambda: StepReport(m=0))
-    # the run's C0 and, for a fitted C0 on a nerve with cycles, its mode and
-    # loop (as in the gate report); None until the entry gate has run
-    c0: float | None = None
-    c0_mode: int | None = None
-    c0_loop: list | None = None
-    c0_mode_convergent: bool | None = None
+    gate: "GateReport | None" = None   # the entry gate's report; None until it has run
 
     @property
     def violations(self) -> list:
@@ -420,10 +415,7 @@ class IterationTrace:
             "violations": [
                 {"m": m, "certificate": cert} for m, cert in self.violations
             ],
-            "C0": self.c0,
-            "C0_mode": self.c0_mode,
-            "C0_loop": self.c0_loop,
-            "C0_mode_convergent": self.c0_mode_convergent,
+            **GateReport.c0_record(self.gate),
         }
 
 
@@ -442,15 +434,19 @@ class GateReport:
     c0_mode_convergent: bool | None = None   # c0_mode is a q_k of its rotation number
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
+    @staticmethod
+    def c0_record(report: "GateReport | None") -> dict:
+        """C0 with its mode, loop and convergent flag; all None without a report."""
+        return {key: getattr(report, attr, None) for key, attr in (
+            ("C0", "c0_used"), ("C0_mode", "c0_mode"), ("C0_loop", "c0_loop"),
+            ("C0_mode_convergent", "c0_mode_convergent"))}
+
     def to_json_dict(self) -> dict:
         return {
             "conventions": self.conventions,
             "passed": self.passed,
             "gate_value": self.gate_value,
-            "C0": self.c0_used,
-            "C0_mode": self.c0_mode,
-            "C0_loop": self.c0_loop,
-            "C0_mode_convergent": self.c0_mode_convergent,
+            **GateReport.c0_record(self),
             "C1": self.c1,
             "eta0": self.eta0,
             "per_edge": [
@@ -709,8 +705,9 @@ class Conjugacy:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Conjugacy":
         """Parse a conjugacy document; every type or value failure, including
-        a non-finite width, phase or hat coefficient, or chart keys other
-        than the linear cocycle's charts, raises :class:`SchemaError`."""
+        a non-finite width, phase or hat coefficient, chart keys other than
+        the linear cocycle's charts, or a ``final_width`` outside
+        ``(0, least chart hat width]``, raises :class:`SchemaError`."""
         try:
             bundle = UnitaryFlatBundle.from_json_dict(doc["linear_cocycle"])
             charts = {
@@ -723,6 +720,9 @@ class Conjugacy:
             raise SchemaError(f"bad conjugacy document: {exc}") from exc
         if set(charts) != set(bundle.nerve.charts):
             raise SchemaError(f"conjugacy charts {list(charts)} are not its linear cocycle's")
+        w = min(phi.width for phi in charts.values())
+        if not 0 < final_width <= w:
+            raise SchemaError(f"final_width {final_width} not in (0, least chart width {w}]")
         return cls(charts=charts, linear_cocycle=bundle, final_width=final_width)
 
 
@@ -754,8 +754,7 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         gate = gate_check(system, params)
         if params.c0 is None:
             params = params.with_c0(gate.c0_used)
-        trace.c0, trace.c0_mode, trace.c0_loop = params.c0, gate.c0_mode, gate.c0_loop
-        trace.c0_mode_convergent = gate.c0_mode_convergent
+        trace.gate = gate
         _certify(trace.entry, "initial_norm_gate",
                  np.max([row[1] for row in gate.per_edge], initial=0.0), gate.gate_value)
         phis = {c: identity_map(params.sigma0) for c in system.nerve.charts}

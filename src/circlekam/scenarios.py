@@ -7,11 +7,16 @@ genus-2 suspension family puts three charts with doubled overlaps to chart 0,
 the plus copies carrying the two maps and the minus copies the identity, so
 that a converged run collapses to a single common conjugator and linearizes
 both maps at once.
+
+Documents cross one reader and one strict writer: :func:`read_document` reads
+UTF-8 JSON (RFC 8259), :func:`write_document` and :meth:`Scenario.save` write
+:func:`dumps`; a failure raises :class:`SchemaError` or :class:`ValidationError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -42,6 +47,36 @@ OUTPUTS = ("trace", "conjugacy", "diagnostics")
 # collapse residual :func:`extract_simultaneous` accepts.
 SIMULTANEOUS_SAMPLES = 128
 COLLAPSE_TOL = 1e-8
+
+
+def _finite(obj):
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def dumps(doc: dict) -> str:
+    """Strict JSON: a NaN or infinite float is written as null."""
+    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+def read_document(path, what: str):
+    """The JSON document in the UTF-8 file ``path``; ``ValueError`` covers bytes
+    that are not UTF-8, malformed JSON and an integer past ``int``'s digit limit."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_document(path, doc: dict | str) -> None:
+    """Write a string, or a dict as :func:`dumps` does; a bad path raises ValidationError."""
+    try:
+        Path(path).write_text(doc if isinstance(doc, str) else dumps(doc), encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -95,16 +130,11 @@ class Scenario:
                    params=params, outputs=tuple(outputs))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2,
-                                         sort_keys=True))
+        write_document(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SchemaError(f"cannot read scenario {path}: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(read_document(path, "scenario"))
 
     def with_strict(self, strict: bool) -> "Scenario":
         return replace(self, params=replace(self.params, strict_schedule=strict))

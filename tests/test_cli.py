@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from circlekam import (
     ScheduleViolationError,
     SchemaError,
     TruncationError,
+    ValidationError,
     build_genus2,
     build_single_chart,
     conjugated_rotation,
@@ -616,6 +618,132 @@ class TestStrictJson:
             strict_json((out / name).read_text())
         rows = strict_json((out / "trace.json").read_text())["rows"]
         assert all("certificates" in row for row in rows)
+
+
+def _undecodable(path, case):
+    """The document at ``path`` with one more key whose value no UTF-8 JSON
+    decoder reads: a latin-1 byte inside a string, nesting past the recursion
+    limit, or an integer past the digit limit of ``int``."""
+    head = json.dumps(json.loads(path.read_text()))[:-1].encode() + b', "note": '
+    return head + {
+        "latin1": b'"caf\xe9"',
+        "deep": b"[" * 10**5 + b"]" * 10**5,
+        "bigint": b"1" * 5000,
+    }[case] + b"}"
+
+
+# each command with the argument that reads the broken file
+READ_POSITIONS = {
+    "run": ("scenario", ["run", "{scenario}", "--out", "{out}"]),
+    "gate": ("scenario", ["gate", "{scenario}"]),
+    "rotnum": ("scenario", ["rotnum", "{scenario}"]),
+    "dioph": ("scenario", ["dioph", "{scenario}"]),
+    "verify-scenario": ("scenario", ["verify", "{conjugacy}", "{scenario}"]),
+    "verify-conjugacy": ("conjugacy", ["verify", "{conjugacy}", "{scenario}"]),
+}
+
+
+class TestDocumentBoundary:
+    """Every document crosses one UTF-8 reader and every output one writer:
+    a file that cannot be decoded, or a path that cannot be written, ends in
+    exit 2 with strict JSON naming it. Each case below ended in a traceback."""
+
+    @pytest.mark.parametrize("case", ["latin1", "deep", "bigint"])
+    @pytest.mark.parametrize("position", list(READ_POSITIONS))
+    def test_undecodable_document_exits_2(self, genus2_run, tmp_path, capsys,
+                                          position, case):
+        scenario, out, _ = genus2_run
+        conjugacy = out / "conjugacy.json"
+        what, argv = READ_POSITIONS[position]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(_undecodable(scenario if what == "scenario" else conjugacy, case))
+        names = {"scenario": scenario, "conjugacy": conjugacy, what: bad,
+                 "out": tmp_path / "run_out"}
+        assert main([a.format(**names) for a in argv]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert report["message"].startswith(f"cannot read {what} {bad}"), report["message"]
+        if position == "run":
+            assert strict_json((names["out"] / "diagnostics.json").read_text()) == report
+
+    @pytest.mark.parametrize("name", ["trace.csv", "trace.json", "conjugacy.json",
+                                      "diagnostics.json"])
+    def test_unwritable_output_exits_2(self, linear_scenario, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["run", str(linear_scenario), "--out", str(out)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert report["message"].startswith(f"cannot write {out / name}"), report["message"]
+
+    def test_unwritable_diagnostics_of_an_unread_scenario_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "diagnostics.json").mkdir(parents=True)
+        assert main(["run", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert report["message"].startswith(f"cannot write {out / 'diagnostics.json'}")
+
+    def test_save_to_a_directory_raises(self, tmp_path):
+        sc = build_single_chart(GOLDEN, LaurentSeries.zero(1.0, 4), 1.0, eta0=0.05)
+        with pytest.raises(ValidationError, match=re.escape(f"cannot write {tmp_path}")):
+            sc.save(tmp_path)
+
+
+class TestFinalWidth:
+    """A conjugacy's final width lies in (0, least chart hat width]; -1 and 0
+    were verified with exit 0."""
+
+    def _verify(self, genus2_run, tmp_path, width):
+        scenario, out, _ = genus2_run
+        doc = json.loads((out / "conjugacy.json").read_text())
+        least = min(chart["hat"]["sigma"] for chart in doc["charts"].values())
+        doc["final_width"] = width(least)
+        path = tmp_path / "width.json"
+        path.write_text(json.dumps(doc))
+        return main(["verify", str(path), str(scenario)])
+
+    @pytest.mark.parametrize("width", [lambda least: -1.0, lambda least: 0.0,
+                                       lambda least: math.nextafter(least, math.inf)],
+                             ids=["-1", "0", "least+ulp"])
+    def test_out_of_range_exits_2(self, genus2_run, tmp_path, capsys, width):
+        assert self._verify(genus2_run, tmp_path, width) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert report["message"].startswith("final_width"), report["message"]
+
+    def test_least_chart_width_verifies(self, genus2_run, tmp_path, capsys):
+        assert self._verify(genus2_run, tmp_path, lambda least: least) == 0
+        assert strict_json(capsys.readouterr().out)["outcome"] == "verified"
+
+
+class TestEdgelessNerve:
+    """A nerve without edges has no mode to fit C0: gate and run said "c0
+    must be finite and positive, got 0.0" about a C0 no one gave."""
+
+    @pytest.fixture
+    def edgeless(self, linear_scenario, tmp_path):
+        doc = json.loads(linear_scenario.read_text())
+        doc["edges"] = []
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("command", ["gate", "run"])
+    def test_gate_and_run_exit_2(self, edgeless, tmp_path, capsys, command):
+        argv = [command, str(edgeless)] + ["--out", str(tmp_path / "out")] * (command == "run")
+        assert main(argv) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert report["message"].startswith("the nerve has no edges"), report["message"]
+
+    def test_rotnum_and_dioph_keep_their_output(self, edgeless, capsys):
+        assert main(["rotnum", str(edgeless)]) == 0
+        assert strict_json(capsys.readouterr().out) == {"edges": []}
+        assert main(["dioph", str(edgeless), "--modes", "4"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["C0"] == 0.0 and doc["argmax_mode"] == 1
+        assert doc["spectrum"] == {str(n): 0.0 for n in range(-4, 5) if n}
 
 
 # error, its outcome and the report keys besides outcome and message that

@@ -266,7 +266,9 @@ class TestGate:
             nerve, (CircleDiffeo(0.4, LaurentSeries.zero(1.0, 8)),), 1.0)
         rep = gate_check(tree, KamParams(sigma0=1.0, eta0=0.05, n_trunc=8))
         assert rep.c0_mode_convergent is None
-        assert run(tree, KamParams(sigma0=1.0, eta0=0.05, n_trunc=8)).trace.c0_mode_convergent is None
+        trace = run(tree, KamParams(sigma0=1.0, eta0=0.05, n_trunc=8)).trace
+        assert trace.gate.c0_mode_convergent is None
+        assert trace.to_json_dict()["C0_mode_convergent"] is None
 
     def test_convergent_denominators(self):
         fib = [q for q in range(1, 100) if cocycle.is_convergent_denominator(q, GOLDEN, 1000)]

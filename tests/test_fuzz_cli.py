@@ -4,8 +4,9 @@ Every command, on any document or argument, must end in exit 0, 2 or 3 and
 print strict JSON: never a traceback, never a bare NaN or Infinity token.
 The documents are a valid genus-2 N=64 scenario and the conjugacy a
 converged run of it writes, each with one node replaced by a value from a
-fixed hostile list; the seeded examples are documents and arguments that
-once crashed a command or passed a malformed value silently.
+fixed hostile list, or with one byte replaced, inserted or deleted, or cut
+short; the seeded examples are documents and arguments that once crashed a
+command or passed a malformed value silently.
 
 No value above 1e3 lands in an integer position (``N``, ``max_iter``,
 ``--iters``, ``--modes``): a huge ``N`` allocates arrays of length 2N+1.
@@ -91,6 +92,18 @@ def docs(tmp_path_factory):
         conjugacy=json.loads(conjugacy.read_text()))
 
 
+def _argv(docs, command, scenario=None, conjugacy=None):
+    """The argv of ``command`` on the given files, or on the fixture's."""
+    scenario, conjugacy = scenario or docs.scenario_path, conjugacy or docs.conjugacy_path
+    return {
+        "run": ["run", scenario, "--out", docs.work / "out"],
+        "gate": ["gate", scenario],
+        "rotnum": ["rotnum", scenario, "--iters", 1000],
+        "dioph": ["dioph", scenario],
+        "verify": ["verify", conjugacy, scenario],
+    }[command]
+
+
 def _check(argv):
     """Run the CLI; the exit code must be 0, 2 or 3 and stdout strict JSON."""
     out = io.StringIO()
@@ -150,14 +163,7 @@ one_edit = st.tuples(st.integers(0, 10**6), st.sampled_from(HOSTILE)).map(lambda
 def test_scenario_documents(docs, edits, command):
     path = docs.work / "scenario.json"
     path.write_text(json.dumps(_edited(docs.scenario, edits)))
-    argv = {
-        "run": ["run", path, "--out", docs.work / "out"],
-        "gate": ["gate", path],
-        "rotnum": ["rotnum", path, "--iters", 1000],
-        "dioph": ["dioph", path],
-        "verify": ["verify", docs.conjugacy_path, path],
-    }[command]
-    _check(argv)
+    _check(_argv(docs, command, scenario=path))
 
 
 @settings(max_examples=30, deadline=None)
@@ -179,6 +185,41 @@ def test_conjugacy_documents(docs, edits):
     path = docs.work / "conjugacy_edited.json"
     path.write_text(json.dumps(_edited(docs.conjugacy, edits)))
     _check(["verify", path, docs.scenario_path])
+
+
+# (at, cut, payload): the file becomes data[:at] + payload + data[at + cut:]. A
+# cut of 0 inserts the byte, a cut of 1 replaces or deletes it, and a cut of
+# TRUNCATE drops the tail.
+TRUNCATE = 10**9
+byte_edit = st.tuples(st.integers(0, 10**6), st.sampled_from([0, 1, TRUNCATE]),
+                      st.binary(max_size=1))
+# each command on a broken scenario, and verify on a broken conjugacy
+POSITIONS = [(command, "scenario") for command in COMMANDS] + [("verify", "conjugacy")]
+# files no UTF-8 JSON decoder reads: a latin-1 byte inside a string (byte 5 is
+# the c of "charts", the first key of both files), nesting past the recursion
+# limit, an integer past the digit limit of int
+LATIN1 = (5, 1, b"\xe9")
+DEEP = (0, TRUNCATE, b"[" * 10**5 + b"]" * 10**5)
+BIGINT = (0, TRUNCATE, b"1" * 5000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edit=byte_edit, position=st.sampled_from(POSITIONS))
+@example(edit=LATIN1, position=("run", "scenario"))
+@example(edit=LATIN1, position=("verify", "conjugacy"))
+@example(edit=DEEP, position=("gate", "scenario"))
+@example(edit=DEEP, position=("verify", "scenario"))
+@example(edit=BIGINT, position=("rotnum", "scenario"))
+@example(edit=BIGINT, position=("dioph", "scenario"))
+@example(edit=BIGINT, position=("verify", "conjugacy"))
+def test_document_bytes(docs, edit, position):
+    command, target = position
+    at, cut, payload = edit
+    data = getattr(docs, f"{target}_path").read_bytes()
+    at %= len(data) + 1
+    path = docs.work / f"bytes_{target}.json"
+    path.write_bytes(data[:at] + payload + data[at + cut:])
+    _check(_argv(docs, command, **{target: path}))
 
 
 @settings(max_examples=40, deadline=None)
