@@ -42,7 +42,7 @@ series = coeffs_from_circle(f_vals, n_trunc=12, width=1.0)
 bound = float(np.exp(0.3 * (np.e + 1.0 / np.e)))  # sup bound on the annulus
 rep = decay_check(series, bound)
 print(f"all indices within the decay envelope: {rep.passed}")
-print(f"discarded-tail bound at sigma' = 0.5: {rep.tail_mass(series, 0.5):.2e}")
+print(f"largest excess over the envelope: {rep.worst_excess:.2e}")
 
 print("\n== derivative control on a strip ==")
 print(f"log-lift derivative bound at sigma' = 0.5: "

@@ -12,10 +12,9 @@ import numpy as np
 from circlekam import (
     CircleDiffeo,
     LaurentSeries,
-    circle_defect,
     compose,
     eval_diffeo,
-    expand,
+    expand_detailed,
     invert,
     rotation,
     rotation_number,
@@ -29,12 +28,14 @@ eps = 0.02
 hat = LaurentSeries.from_coeffs({1: eps, -1: -eps}, width=1.0)
 f = CircleDiffeo(2.0 * np.pi * GOLDEN, hat)
 print(f"phase = {f.phase:.6f}, hat modes at +-1 of size {eps}")
-print(f"unit circle preserved to {circle_defect(f):.2e}")
+defect = np.max(np.abs(np.abs(eval_diffeo(f, unit_circle(1024))) - 1.0))
+print(f"unit circle preserved to {defect:.2e}")
 
 print("\n== expansion from samples recovers the data ==")
-g = expand(eval_diffeo(f, unit_circle(64)), n_trunc=8, width=1.0)
+g, info = expand_detailed(eval_diffeo(f, unit_circle(64)), n_trunc=8, width=1.0)
 print(f"phase error {abs(g.phase - f.phase):.2e}, "
-      f"c1 error {abs(g.hat.coeff(1) - eps):.2e}")
+      f"c1 error {abs(g.hat.coeff(1) - eps):.2e}, "
+      f"discarded tail {info.tail_mass:.2e}")
 
 print("\n== rotation number: weighted Birkhoff average of the lift orbit ==")
 rho = rotation_number(f)

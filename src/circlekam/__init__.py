@@ -10,14 +10,15 @@ builders and the simultaneous-linearization extraction
 (:mod:`circlekam.scenarios`); and the CLI (:mod:`circlekam.cli`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .circle import (
     CircleDiffeo,
     RotationConvergenceWarning,
     apply_inverse,
-    circle_defect,
     compose,
     eval_diffeo,
-    expand,
+    expand_detailed,
     identity_map,
     invert,
     rotation,
@@ -90,4 +91,5 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -1,5 +1,5 @@
 """Analytic orientation-preserving circle diffeomorphisms in multiplicative
-form ``w -> w exp(i phase + hat(w))``.
+form ``w -> w exp(i phase + hat(w))``, built from samples by :func:`expand_detailed`.
 
 ``hat`` is a Laurent series with zero constant term obeying the reality
 symmetry ``c_{-n} = -conj(c_n)``, which makes the exponent purely imaginary
@@ -88,9 +88,6 @@ class CircleDiffeo:
     @property
     def width(self) -> float:
         return self.hat.width
-
-    def is_rotation(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.hat.band) <= tol))
 
     def __call__(self, w):
         return eval_diffeo(self, w)
@@ -229,12 +226,6 @@ def eval_diffeo(f: CircleDiffeo, w):
     return eval_diffeos([f], wa.reshape(1, -1)).reshape(wa.shape)[()]
 
 
-def circle_defect(f: CircleDiffeo, samples: int = 1024) -> float:
-    """Max over sampled ``|w| = 1`` of ``| |f(w)| - 1 |``."""
-    vals = eval_diffeo(f, unit_circle(samples))
-    return float(np.max(np.abs(np.abs(vals) - 1.0)))
-
-
 def _tracked_log(gvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuous branch of log along sampled values (per row, along the last
     axis); returns (log, winding).
@@ -293,26 +284,17 @@ def _expand_rows(vals: np.ndarray, n_trunc: int, errors: dict):
 
 
 def expand_detailed(fvals, n_trunc: int, width: float) -> tuple[CircleDiffeo, ExpandInfo]:
-    """:func:`expand` plus diagnostics (projection size, discarded tail mass)."""
+    """The :class:`CircleDiffeo` of equispaced unit-circle samples of f, and its
+    :class:`ExpandInfo`. log(f(w)/w) is tracked around the circle (a nonzero
+    winding of f(w)/w raises); the constant Fourier term becomes the phase and
+    the other modes the hat, projected onto the reality-symmetric subspace once
+    the defect is checked, with sub-round-off coefficients zeroed."""
     errors: dict = {}
     with np.errstate(all="ignore"):
         phases, hats, infos = _expand_rows(np.asarray(fvals, dtype=complex)[None],
                                            n_trunc, errors)
     _raise_first(errors)
     return CircleDiffeo(phases[0], LaurentSeries.from_band(hats[0], width, n_trunc)), infos[0]
-
-
-def expand(fvals, n_trunc: int, width: float) -> CircleDiffeo:
-    """Build a :class:`CircleDiffeo` from equispaced unit-circle samples of f.
-
-    Tracks log(f(w)/w) continuously around the circle; a nonzero winding of
-    f(w)/w obstructs the global branch and raises. The constant Fourier term
-    becomes the phase; the remaining modes become the hat, projected onto the
-    reality-symmetric subspace after the defect is checked. Sub-round-off
-    coefficients are zeroed so weighted norms are not polluted by noise.
-    """
-    diffeo, _ = expand_detailed(fvals, n_trunc, width)
-    return diffeo
 
 
 def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,

@@ -8,10 +8,11 @@ prints a machine-readable JSON report to stdout; ``run`` also writes trace
 CSV/JSON, conjugacy JSON, and diagnostics JSON next to ``--out``. Documents
 pass one reader and one strict writer (:mod:`circlekam.scenarios`): an
 undecodable file, an unwritable output and a size too large for memory are
-validation errors; a non-finite number is written as ``null``. One handler in
-:func:`main` reports an error (``run`` writes its files in its own) from the
-``outcome`` and ``fields`` of its class. ``--log-level`` sends the library's
-log records to stderr (default WARNING); stdout is the same at every level.
+validation errors; a non-finite number is written as ``null``; ``run`` writes
+all of its files or none. One handler in :func:`main` reports an error (``run``
+writes its files in its own) from the ``outcome`` and ``fields`` of its class.
+``--log-level`` sends the library's log records to stderr (default WARNING);
+stdout is the same at every level.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from . import engine
 from .circle import ROTATION_ITERS
 from .cocycle import amplification_spectrum, fit_diophantine
 from .errors import CertificateError, CircleKamError, ValidationError
-from .scenarios import Scenario, dumps, read_document, write_document
+from .scenarios import OUTPUTS, Scenario, dumps, read_document, write_documents
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,36 +62,33 @@ def _cmd_run(args) -> int:
         result = engine.run(scenario.system, scenario.params)
     except (CircleKamError, MemoryError) as exc:
         diag, code = _diagnose(exc)
-        trace = getattr(exc, "trace", None)
-        if trace is not None:
-            write_document(out_dir / "trace.csv", trace.to_csv())
-            write_document(out_dir / "trace.json", trace.to_json_dict())
-        write_document(out_dir / "diagnostics.json", diag)
-        print(dumps(diag))
-        return code
-
-    if "trace" in scenario.outputs:
-        write_document(out_dir / "trace.csv", result.trace.to_csv())
-        write_document(out_dir / "trace.json", result.trace.to_json_dict())
-    if "conjugacy" in scenario.outputs:
-        write_document(out_dir / "conjugacy.json", result.conjugacy.to_json_dict())
-    diag = {
-        "outcome": result.outcome if result.converged else "non_convergence",
-        "converged": result.converged,
-        "steps": result.steps,
-        "conjugation_residual": result.conjugation_residual,
-        "gate_passed": result.gate.passed,
-        **engine.GateReport.c0_record(result.gate),
-        "message": (
-            f"converged in {result.steps} steps" if result.converged
-            else f"tolerance not reached within {result.params.max_iter} steps"
-        ),
-        "conventions": dict(engine.CONVENTIONS),
-    }
-    if "diagnostics" in scenario.outputs:
-        write_document(out_dir / "diagnostics.json", diag)
+        outputs, trace, conjugacy = OUTPUTS, getattr(exc, "trace", None), None
+    else:
+        outputs, trace, conjugacy = scenario.outputs, result.trace, result.conjugacy
+        diag = {
+            "outcome": result.outcome if result.converged else "non_convergence",
+            "converged": result.converged,
+            "steps": result.steps,
+            "conjugation_residual": result.conjugation_residual,
+            "gate_passed": result.gate.passed,
+            **engine.GateReport.c0_record(result.gate),
+            "message": (
+                f"converged in {result.steps} steps" if result.converged
+                else f"tolerance not reached within {result.params.max_iter} steps"
+            ),
+            "conventions": dict(engine.CONVENTIONS),
+        }
+        code = EXIT_OK if result.converged else EXIT_FAILURE
+    docs = {}
+    if trace is not None and "trace" in outputs:
+        docs.update({"trace.csv": trace.to_csv(), "trace.json": trace.to_json_dict()})
+    if conjugacy is not None and "conjugacy" in outputs:
+        docs["conjugacy.json"] = conjugacy.to_json_dict()
+    if "diagnostics" in outputs:
+        docs["diagnostics.json"] = diag
+    write_documents(out_dir, docs)
     print(dumps(diag))
-    return EXIT_OK if result.converged else EXIT_FAILURE
+    return code
 
 
 def _cmd_gate(args) -> int:
@@ -118,6 +117,8 @@ def _cmd_dioph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ValidationError(f"--tol must be finite and > 0, got {args.tol}")
     scenario = Scenario.load(args.scenario)
     conj = engine.Conjugacy.from_json_dict(read_document(args.conjugacy, "conjugacy"))
     residual = conj.residual(scenario.system, samples=args.samples)

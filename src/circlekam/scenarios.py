@@ -9,8 +9,9 @@ that a converged run collapses to a single common conjugator and linearizes
 both maps at once.
 
 Documents cross one reader and one strict writer: :func:`read_document` reads
-UTF-8 JSON (RFC 8259), :func:`write_document` and :meth:`Scenario.save` write
-:func:`dumps`; a failure raises :class:`SchemaError` or :class:`ValidationError`.
+UTF-8 JSON (RFC 8259); :func:`write_documents`, which :meth:`Scenario.save`
+and ``circlekam run`` use, writes a set of files in :func:`dumps` form, all of
+them or none; a failure raises :class:`SchemaError` or :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -71,11 +72,23 @@ def read_document(path, what: str):
         raise SchemaError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def write_document(path, doc: dict | str) -> None:
-    """Write a string, or a dict as :func:`dumps` does; a bad path raises ValidationError."""
+def write_documents(directory, docs: dict) -> None:
+    """Write ``{file name: document}`` into ``directory``, a dict as :func:`dumps`
+    renders it, all or none: every path is checked before the first write, and a
+    failed write removes the files written before it. Raises ValidationError."""
+    texts = {Path(directory) / name: doc if isinstance(doc, str) else dumps(doc)
+             for name, doc in docs.items()}
+    for path in texts:
+        if path.is_dir():
+            raise ValidationError(f"cannot write {path}: it is a directory")
+    written = []
     try:
-        Path(path).write_text(doc if isinstance(doc, str) else dumps(doc), encoding="utf-8")
+        for path, text in texts.items():
+            path.write_text(text, encoding="utf-8")
+            written.append(path)
     except OSError as exc:
+        for done in written:
+            done.unlink(missing_ok=True)
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
@@ -130,7 +143,8 @@ class Scenario:
                    params=params, outputs=tuple(outputs))
 
     def save(self, path) -> None:
-        write_document(path, self.to_json_dict())
+        path = Path(path)
+        write_documents(path.parent, {path.name: self.to_json_dict()})
 
     @classmethod
     def load(cls, path) -> "Scenario":

@@ -93,6 +93,8 @@ class LaurentSeries:
         k = (band.shape[-1] - 1) // 2
         support = np.flatnonzero(band) - k
         d = int(np.max(np.abs(support), initial=0))
+        if d > n_trunc:
+            raise AnnulusDomainError(f"coefficient index {d} exceeds truncation {n_trunc}")
         band = band[k - d : k + d + 1].copy()
         for arr in (band, support):
             arr.setflags(write=False)
@@ -117,7 +119,8 @@ class LaurentSeries:
     def from_band(cls, band: np.ndarray, width: float, n_trunc: int) -> "LaurentSeries":
         """The series of truncation ``n_trunc`` whose coefficients ``|n| <= k``
         are ``band`` (length 2k+1, ``w^n`` at index ``k + n``) and zero
-        beyond: the band is kept cut to its degree, with no 2N+1 array."""
+        beyond: the band is kept cut to its degree, with no 2N+1 array. A
+        nonzero coefficient beyond ``n_trunc`` raises, as in :meth:`from_coeffs`."""
         series = cls.__new__(cls)
         series._hold(np.asarray(band, dtype=complex), width, n_trunc)
         return series
@@ -164,20 +167,6 @@ class LaurentSeries:
     def with_width(self, width: float) -> "LaurentSeries":
         """The same coefficients and truncation on another annulus."""
         return LaurentSeries.from_band(self.band, width, self.truncation)
-
-    def retruncate(self, n_trunc: int) -> tuple["LaurentSeries", float]:
-        """Drop coefficients beyond ``n_trunc``.
-
-        Returns the truncated series and the discarded mass
-        ``sum_{|n|>n_trunc} |c_n|`` (sup-norm bound of the discarded tail on
-        the unit circle).
-        """
-        if n_trunc >= self.truncation:
-            return self, 0.0
-        d = self.degree
-        lo, hi = max(d - n_trunc, 0), d + n_trunc + 1
-        discarded = float(np.sum(np.abs(self.band[:lo])) + np.sum(np.abs(self.band[hi:])))
-        return LaurentSeries.from_band(self.band[lo:hi], self.width, n_trunc), discarded
 
     def scale(self, factor: complex) -> "LaurentSeries":
         return LaurentSeries.from_band(self.band * factor, self.width, self.truncation)
@@ -447,21 +436,6 @@ class DecayReport:
     passed: bool = True
     worst_index: int | None = None
     worst_excess: float = 0.0
-
-    def tail_mass(self, s: LaurentSeries, sigma_prime: float) -> float:
-        """Bound for the sup on the ``sigma'``-annulus of the discarded tail
-        ``|n| > N``, from the geometric decay model: each missing coefficient
-        contributes at most ``norm_sigma e^{-|n|(sigma - sigma')}``."""
-        if not (0 < sigma_prime < s.width):
-            raise AnnulusDomainError(
-                f"tail estimate needs 0 < sigma_prime < width, got {sigma_prime}"
-            )
-        gap = s.width - sigma_prime
-        n_t = s.truncation
-        # 2 * sum_{n > N} e^{-n*gap} = 2 e^{-(N+1) gap} / (1 - e^{-gap})
-        return float(
-            self.norm_sigma * 2.0 * np.exp(-(n_t + 1) * gap) / (1.0 - np.exp(-gap))
-        )
 
 
 def decay_checks(

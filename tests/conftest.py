@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from circlekam import CircleDiffeo, LaurentSeries
+from circlekam import CircleDiffeo, LaurentSeries, eval_diffeo, unit_circle
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 SILVER = np.sqrt(2.0) - 1.0
@@ -23,6 +23,11 @@ def random_diffeo(rng, width=1.0, scale=1e-5, max_mode=4, phase=None):
     if phase is None:
         phase = 2.0 * np.pi * rng.random()
     return CircleDiffeo(phase, random_symmetric_hat(rng, width, scale, max_mode))
+
+
+def circle_defect(f, samples):
+    """Max over ``samples`` points of ``|w| = 1`` of ``| |f(w)| - 1 |``."""
+    return float(np.max(np.abs(np.abs(eval_diffeo(f, unit_circle(samples))) - 1.0)))
 
 
 def safe_rotation_numbers(rng, count, n_max=96, min_divisor=0.02):

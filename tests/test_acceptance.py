@@ -24,7 +24,6 @@ from circlekam import (
     amplification_spectrum,
     build_genus2,
     build_single_chart,
-    circle_defect,
     compose,
     conjugated_rotation,
     eval_diffeo,
@@ -46,6 +45,7 @@ from circlekam.engine import resolve_c0, schedule
 from conftest import (
     GOLDEN,
     SILVER,
+    circle_defect,
     random_diffeo,
     random_symmetric_hat,
     safe_rotation_numbers,

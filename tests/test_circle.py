@@ -14,10 +14,9 @@ from circlekam import (
     ValidationError,
     WindingError,
     apply_inverse,
-    circle_defect,
     compose,
     eval_diffeo,
-    expand,
+    expand_detailed,
     identity_map,
     invert,
     rotation,
@@ -25,7 +24,13 @@ from circlekam import (
     unit_circle,
 )
 
-from conftest import GOLDEN, random_diffeo, random_symmetric_hat, safe_rotation_numbers
+from conftest import (
+    GOLDEN,
+    circle_defect,
+    random_diffeo,
+    random_symmetric_hat,
+    safe_rotation_numbers,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,7 +69,7 @@ class TestExpand:
     def test_rigid_rotation(self):
         phi = 2.1
         w = unit_circle(64)
-        f = expand(np.exp(1j * phi) * w, n_trunc=8, width=1.0)
+        f, _ = expand_detailed(np.exp(1j * phi) * w, n_trunc=8, width=1.0)
         assert abs(f.phase - phi) < 1e-12
         assert np.all(f.hat.coeffs == 0)
 
@@ -72,7 +77,8 @@ class TestExpand:
         # f = w exp(i phi + eps (w - 1/w)): the exponent is its own expansion
         phi, eps = 0.9, 1e-3
         w = unit_circle(64)
-        f = expand(w * np.exp(1j * phi + eps * (w - 1.0 / w)), n_trunc=8, width=1.0)
+        f, _ = expand_detailed(w * np.exp(1j * phi + eps * (w - 1.0 / w)), n_trunc=8,
+                               width=1.0)
         assert abs(f.phase - phi) < 1e-12
         assert abs(f.hat.coeff(1) - eps) < 1e-12
         assert abs(f.hat.coeff(-1) + eps) < 1e-12
@@ -81,17 +87,17 @@ class TestExpand:
     def test_squaring_map_winds(self):
         w = unit_circle(64)
         with pytest.raises(WindingError):
-            expand(w**2, n_trunc=8, width=1.0)
+            expand_detailed(w**2, n_trunc=8, width=1.0)
 
     def test_off_circle_samples_rejected(self):
         w = unit_circle(64)
         with pytest.raises(NotACircleMapError):
-            expand(w * np.exp(1e-3 * w), n_trunc=8, width=1.0)  # Re exponent != 0
+            expand_detailed(w * np.exp(1e-3 * w), n_trunc=8, width=1.0)  # Re exponent != 0
 
     def test_round_trip_phase_and_hat(self, rng):
         for _ in range(10):
             f = random_diffeo(rng, width=1.0, scale=1e-3)
-            g = expand(eval_diffeo(f, unit_circle(64)), f.hat.truncation, 1.0)
+            g, _ = expand_detailed(eval_diffeo(f, unit_circle(64)), f.hat.truncation, 1.0)
             assert abs(g.phase - f.phase) < 1e-10
             n_t = f.hat.truncation
             for n in range(-n_t, n_t + 1):

@@ -530,6 +530,21 @@ class TestArguments:
                      f"--samples={samples}"]) == 2
         assert strict_json(capsys.readouterr().out)["outcome"] == "validation_error"
 
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1"])
+    def test_verify_tol_outside_the_open_interval_exits_2(self, tmp_path, capsys, tol):
+        # inf verified any finite residual; nan and -1 failed as verification
+        missing = str(tmp_path / "missing.json")
+        assert main(["verify", missing, missing, f"--tol={tol}"]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert report["message"].startswith("--tol"), report["message"]
+
+    def test_verify_default_tol_verifies(self, genus2_run, capsys):
+        scenario, out, _ = genus2_run
+        assert main(["verify", str(out / "conjugacy.json"), str(scenario)]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "verified" and report["tol"] == 1e-8
+
     @pytest.mark.parametrize("mu", ["nan", "inf"])
     def test_dioph_non_finite_mu_exits_2(self, pair_scenario, capsys, mu):
         assert main(["dioph", str(pair_scenario), "--mu", mu]) == 2
@@ -643,6 +658,10 @@ READ_POSITIONS = {
 }
 
 
+# every file a converged run writes by default
+RUN_FILES = ["trace.csv", "trace.json", "conjugacy.json", "diagnostics.json"]
+
+
 class TestDocumentBoundary:
     """Every document crosses one UTF-8 reader and every output one writer:
     a file that cannot be decoded, or a path that cannot be written, ends in
@@ -666,8 +685,7 @@ class TestDocumentBoundary:
         if position == "run":
             assert strict_json((names["out"] / "diagnostics.json").read_text()) == report
 
-    @pytest.mark.parametrize("name", ["trace.csv", "trace.json", "conjugacy.json",
-                                      "diagnostics.json"])
+    @pytest.mark.parametrize("name", RUN_FILES)
     def test_unwritable_output_exits_2(self, linear_scenario, tmp_path, capsys, name):
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
@@ -675,6 +693,53 @@ class TestDocumentBoundary:
         report = strict_json(capsys.readouterr().out)
         assert report["outcome"] == "validation_error"
         assert report["message"].startswith(f"cannot write {out / name}"), report["message"]
+
+    @pytest.mark.parametrize("name", RUN_FILES)
+    def test_unwritable_output_leaves_no_other_file(self, linear_scenario, tmp_path,
+                                                     capsys, name):
+        # the files before the occupied one stayed behind
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["run", str(linear_scenario), "--out", str(out)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["message"].startswith(f"cannot write {out / name}"), report["message"]
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_failed_write_removes_the_files_before_it(self, linear_scenario, tmp_path,
+                                                      capsys, monkeypatch):
+        # a write that fails past the path check (a full disk, say)
+        write_text = Path.write_text
+
+        def failing(path, *args, **kwargs):
+            if path.name == "conjugacy.json":
+                raise OSError(28, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing)
+        out = tmp_path / "out"
+        assert main(["run", str(linear_scenario), "--out", str(out)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["message"].startswith(f"cannot write {out / 'conjugacy.json'}")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["aborted", "max_iter"])
+    def test_failed_run_with_a_trace_leaves_no_trace_file(self, tmp_path, capsys, strict):
+        # an aborted run (schedule violation) and one out of steps both exit 3
+        # with a trace; an occupied diagnostics.json left the trace files behind
+        hat = LaurentSeries.from_coeffs({1: 1e-4, -1: -1e-4}, width=1.0)
+        path = tmp_path / "failing.json"
+        build_single_chart(GOLDEN, hat, 1.0, eta0=0.05, max_iter=1,
+                           strict_schedule=strict).save(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(tmp_path / "free")]) == 3
+        capsys.readouterr()
+        assert {"trace.csv", "trace.json"} <= {p.name for p in (tmp_path / "free").iterdir()}
+        (out / "diagnostics.json").mkdir(parents=True)
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert report["message"].startswith(f"cannot write {out / 'diagnostics.json'}")
+        assert [p.name for p in out.iterdir()] == ["diagnostics.json"]
 
     def test_unwritable_diagnostics_of_an_unread_scenario_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -77,7 +77,7 @@ class TestGenus2Builder:
         assert nerve.triples == ()
         minus = [f for e, f in zip(nerve.edges, sc.system.transitions)
                  if e.label == "-"]
-        assert all(t.is_rotation() and t.phase == 0.0 for t in minus)
+        assert all(t.hat.support.size == 0 and t.phase == 0.0 for t in minus)
 
     def test_rotations_converge_immediately(self):
         sc = build_genus2(rotation(TWO_PI * GOLDEN, 1.0),

@@ -28,6 +28,11 @@ from circlekam.series import SeriesRows, empirical_sup_norms, majorants
 from conftest import random_symmetric_hat, safe_rotation_numbers
 
 
+def cut(s, k):
+    """``s`` truncated at ``k``: its band sliced to ``|n| <= k``."""
+    return LaurentSeries.from_band(s.dense(k), s.width, k)
+
+
 class TestEval:
     def test_zero_series(self):
         s = LaurentSeries.zero(width=1.0, n_trunc=3)
@@ -106,7 +111,7 @@ class TestMajorant:
             warnings.simplefilter("error", RuntimeWarning)
             maj = majorant_norm(s, 1.0)
             dmaj = log_derivative_majorant(s, 1.0)
-        small, _ = s.retruncate(4)
+        small = cut(s, 4)
         # the same terms, summed in another order
         assert maj == pytest.approx(majorant_norm(small, 1.0), rel=1e-14)
         assert dmaj == pytest.approx(log_derivative_majorant(small, 1.0), rel=1e-14)
@@ -151,7 +156,7 @@ class TestEmpiricalSup:
         # zeros beyond the degree add nothing to resolve: 2d+1 samples do
         s = LaurentSeries.from_coeffs({1: 1e-3, -2: 2e-3}, width=1.0, n_trunc=5000)
         assert empirical_sup_norm(s, 0.5, 5) == pytest.approx(
-            empirical_sup_norm(s.retruncate(2)[0], 0.5, 5), rel=1e-15)
+            empirical_sup_norm(cut(s, 2), 0.5, 5), rel=1e-15)
         with pytest.raises(InsufficientSamplesError):
             empirical_sup_norm(s, 0.5, 4)
 
@@ -236,13 +241,6 @@ class TestDecay:
                 assert (rep.worst_index, rep.worst_excess) == (None, 0.0)
         assert decay_check(LaurentSeries.zero(1.0, 0), norm).passed
 
-    def test_tail_mass_formula(self):
-        s = LaurentSeries.zero(width=1.0, n_trunc=8)
-        rep = decay_check(s, norm_sigma=2.0)
-        gap = 1.0 - 0.25
-        want = 2.0 * 2.0 * np.exp(-9 * gap) / (1.0 - np.exp(-gap))
-        assert abs(rep.tail_mass(s, 0.25) - want) < 1e-15
-
 
 class TestLogDerivativeMajorant:
     def test_zero(self):
@@ -285,6 +283,26 @@ class TestSerialization:
             s.coeffs[0] = 5.0
 
 
+class TestFromBand:
+    def test_band_beyond_the_truncation_raises(self):
+        # it held degree 5 at N = 2: coeffs dropped 3 <= |n| <= 5, and its
+        # JSON wrote index 5 under "N": 2, which from_json_dict refused
+        with pytest.raises(AnnulusDomainError,
+                           match="coefficient index 5 exceeds truncation 2"):
+            LaurentSeries.from_band(np.arange(1, 12), 1.0, 2)
+
+    def test_zeros_beyond_the_truncation_are_cut(self):
+        s = LaurentSeries.from_band(np.array([0, 0, 1, 0, 2, 0, 0]), 1.0, 1)
+        assert (s.degree, s.truncation) == (1, 1)
+
+    @pytest.mark.parametrize("n_trunc", [5, 6, 10**12])
+    def test_valid_series_survives_json(self, n_trunc):
+        s = LaurentSeries.from_band(np.arange(1, 12) * (1 - 0.5j), 1.0, n_trunc)
+        back = LaurentSeries.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
+        assert (back.truncation, back.width) == (n_trunc, 1.0)
+        assert np.array_equal(back.band, s.band)
+
+
 class TestSupport:
     def test_support_and_degree(self):
         s = LaurentSeries.from_coeffs({-3: 1.0, 2: 0.5, 5: 0.0}, 1.0, n_trunc=8)
@@ -300,13 +318,6 @@ class TestSupport:
 
 
 class TestRetruncate:
-    def test_discarded_mass(self):
-        s = LaurentSeries.from_coeffs({1: 1.0, -1: -1.0, 5: 0.25, -5: -0.25}, 1.0)
-        small, lost = s.retruncate(2)
-        assert small.truncation == 2
-        assert abs(lost - 0.5) < 1e-15
-        assert small.coeff(1) == 1.0
-
     def test_dense_window_pads_and_cuts(self):
         s = LaurentSeries.from_coeffs({1: 1.0, -3: 2.0j, 5: 0.25}, 1.0)
         for n_t in (0, 2, 5, 9):
