@@ -338,21 +338,30 @@ def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
             for p, h in zip(phases, hats)], infos
 
 
-def renew_rows(src, maps, dst, n_trunc: int, width: float, labels=None):
-    """``dst[r]^{-1} o maps[r] o src[r]`` for every row r, by one batched
-    evaluate, invert and expand pass per grid of
-    :func:`expand_rows_by_degree`. Returns the renewed maps and their
-    :class:`ExpandInfo`; an error names its row by its label."""
-    src_rows, map_rows, dst_rows = _rows_of(src), _rows_of(maps), _rows_of(dst)
-    degrees = [a.hat.degree + f.hat.degree + b.hat.degree
-               for a, f, b in zip(src, maps, dst)]
+def expand_chain(factors, n_trunc: int, width: float, labels=None, errors=None):
+    """Row r: the composite of ``factors``, expanded on the grid of
+    :func:`expand_rows_by_degree` from the sum of its factors' degrees: the
+    one sampler of every composite map. Each factor is a pair ``(maps,
+    inverse)``, in the order applied: row r goes through ``maps[r]``, or its
+    inverse when ``inverse`` is true. ``errors`` holds the rows that failed
+    before sampling. Returns the maps and their :class:`ExpandInfo`; an
+    error names its row by its label."""
+    rows = [(_rows_of(maps), inverse) for maps, inverse in factors]
+    degrees = [sum(f.hat.degree for f in row) for row in zip(*(m for m, _ in factors))]
 
     def sample(w):
-        errors: dict = {}
-        z = _eval_rows(*map_rows, _eval_rows(*src_rows, w, errors), errors)
-        return _inverse_rows(*dst_rows, z, errors), errors
+        errs = dict(errors or {})
+        for (phases, hats), inverse in rows:
+            w = (_inverse_rows if inverse else _eval_rows)(phases, hats, w, errs)
+        return w, errs
 
     return expand_rows_by_degree(sample, degrees, n_trunc, width, labels)
+
+
+def renew_rows(src, maps, dst, n_trunc: int, width: float, labels=None):
+    """``dst[r]^{-1} o maps[r] o src[r]`` for every row r by :func:`expand_chain`:
+    the renewed maps and their :class:`ExpandInfo`."""
+    return expand_chain([(src, False), (maps, False), (dst, True)], n_trunc, width, labels)
 
 
 def _bump_weights(iters: int) -> np.ndarray:
@@ -434,59 +443,46 @@ def rotation_number(f: CircleDiffeo, iters: int = ROTATION_ITERS) -> float:
     return float(rho % 1.0)
 
 
-def compose_rows(gs, fs, out_width: float, n_trunc: int, labels=None) -> list:
-    """Compositions ``gs[r] o fs[r]`` re-expanded on an annulus of width
-    ``out_width``, all rows in one pass of :func:`expand_rows_by_degree`.
+def compose_rows(chain, out_width: float, n_trunc: int, labels=None) -> list:
+    """Row r: ``chain[0][r] o chain[1][r] o ...`` (outermost factor first)
+    re-expanded at width ``out_width`` by :func:`expand_chain`; a chain of
+    one factor is its maps re-widthed, not re-expanded.
 
-    Analyticity of a composite on the target annulus needs the image of
-    that annulus under f to sit inside the domain annulus of g; both
-    inclusions are certified with the one-sided weighted norms, and a row
-    failing one fails with :class:`NestingError` (raised, prefixed with its
-    label, if it is the first failing row).
-    """
+    Nesting is certified from the inside out with the one-sided weighted
+    norms: the reach starts at ``out_width``, must lie within each factor's
+    width (NaN fails), and then grows by that factor's majorant at the
+    reach. A failing row gets a :class:`NestingError` naming the factor and
+    is weighed no further; the first failing row's error is raised,
+    prefixed with its label."""
     errors: dict = {}
-    for r, f in enumerate(fs):
-        if out_width > f.width:
-            errors[r] = NestingError(
-                f"out_width {out_width:.6g} exceeds domain width {f.width:.6g} of f",
-                inclusion="out_annulus within domain(f)",
-            )
-    inside = [r for r in range(len(fs)) if r not in errors]
-    reach = out_width + majorants([fs[r].hat for r in inside], out_width)
-    for r, x in zip(inside, reach.tolist()):
-        if x > gs[r].width:
-            errors[r] = NestingError(
-                f"f maps the width-{out_width:.6g} annulus into width "
-                f"{x:.6g}, outside domain width {gs[r].width:.6g} of g",
-                inclusion="f(out_annulus) within domain(g)",
-            )
-    g_rows, f_rows = _rows_of(gs), _rows_of(fs)
-
-    def sample(w):
-        errs = dict(errors)
-        return _eval_rows(*g_rows, _eval_rows(*f_rows, w, errs), errs), errs
-
-    maps, _ = expand_rows_by_degree(
-        sample, [g.hat.degree + f.hat.degree for g, f in zip(gs, fs)], n_trunc,
-        out_width, labels)
+    reach = np.full(len(chain[0]), float(out_width))
+    for i in reversed(range(len(chain))):
+        for r, (x, f) in enumerate(zip(reach.tolist(), chain[i])):
+            if r not in errors and not x <= f.width:
+                errors[r] = NestingError(
+                    f"factor {i}: the factors inside it map the width-{out_width:.6g} "
+                    f"annulus into width {x:.6g}, outside its domain width {f.width:.6g}",
+                    f"inner factors(out_annulus) within domain(factor {i})")
+        if i:
+            live = [r for r in range(reach.size) if r not in errors]
+            reach[live] += majorants([chain[i][r].hat for r in live], reach[live])
+    if len(chain) == 1:
+        _raise_first(errors, labels)
+        return [CircleDiffeo(f.phase, f.hat.with_width(out_width)) for f in chain[0]]
+    maps, _ = expand_chain([(maps, False) for maps in reversed(chain)], n_trunc,
+                           out_width, labels, errors)
     return maps
 
 
 def compose(
     g: CircleDiffeo, f: CircleDiffeo, out_width: float, n_trunc: int | None = None
 ) -> CircleDiffeo:
-    """Composition ``g o f`` re-expanded on an annulus of width ``out_width``:
-    the one-row case of :func:`compose_rows`.
-
-    Composition populates modes beyond those of either factor, so the output
-    truncation defaults to the sum of the factors'; pass ``n_trunc`` to pin
-    it (the iteration engine pins it to the scenario truncation and budgets
-    the discarded tail instead). The sampling grid follows the factors'
-    effective degrees (:func:`expand_rows_by_degree`).
-    """
+    """``g o f`` re-expanded at width ``out_width``: the one-row case of
+    :func:`compose_rows`. Composition populates modes beyond those of either
+    factor, so the truncation defaults to the sum of the factors'."""
     if n_trunc is None:
         n_trunc = f.hat.truncation + g.hat.truncation
-    return compose_rows([g], [f], out_width, n_trunc)[0]
+    return compose_rows([[g], [f]], out_width, n_trunc)[0]
 
 
 def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> CircleDiffeo:

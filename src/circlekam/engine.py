@@ -318,8 +318,8 @@ class StepReport:
     modes_solved: int = 0
     max_hat_empirical: float = 0.0   # sampled sup norm, diagnosis only
     wall_ms: float = 0.0
-    # wall time in ms of the phases gate (entry gate, sup-norm report and
-    # decay audit), solve, certificates, renewal and compose
+    # wall time in ms of the phases gate (entry gate, sup-norm report and decay
+    # audit), solve, certificates, renewal and compose (last step row: the chain)
     phase_ms: dict = field(default_factory=dict)
     strict: bool = False   # a failed certificate raises (strict_schedule)
 
@@ -741,14 +741,17 @@ class RunResult:
 def run(system: TransitionSystem, params: KamParams) -> RunResult:
     """Iterate until the certified hat norm drops below tol or max_iter hits.
 
-    The per-chart conjugacy is composed step by step; any hard error raised
-    by the gate or mid-iteration carries the trace so far on its ``trace``
+    The steps' changes are kept as a chain and collapsed once, after the
+    last step, into the per-chart conjugacy ``psi_0 o psi_1 o ...`` at the
+    final width (:func:`compose_rows`), timed as the last step row's
+    ``compose``. Any hard error carries the trace so far on its ``trace``
     attribute. The level's hat majorant is the ``initial_norm_gate`` lhs at
     level 0 and the previous step's ``contraction_claim`` lhs from level 1
     on: the same majorant at the same width.
     """
     trace = IterationTrace(entry=StepReport(m=0, strict=params.strict_schedule))
     initial = system
+    charts = system.nerve.charts
     try:
         _check_truncations(system, params.n_trunc)
         gate = gate_check(system, params)
@@ -757,7 +760,7 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         trace.gate = gate
         _certify(trace.entry, "initial_norm_gate",
                  np.max([row[1] for row in gate.per_edge], initial=0.0), gate.gate_value)
-        phis = {c: identity_map(params.sigma0) for c in system.nerve.charts}
+        chain = []
         max_maj = trace.entry.certificates["initial_norm_gate"].lhs
         for m, (sigma_m, eta_m, delta_m) in enumerate(_levels(params)):
             if max_maj < params.tol or m == params.max_iter:
@@ -767,27 +770,25 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
                 break
             t0 = time.perf_counter()
             system, psis, report = kam_step(system, m, params)
-            t_compose = time.perf_counter()
-            if m == 0:
-                # the left factor is still the identity: nothing to compose
-                phis = {c: CircleDiffeo(psi.phase, psi.hat.with_width(system.width))
-                        for c, psi in psis.items()}
-            else:
-                charts = list(psis)
-                phis = dict(zip(charts, compose_rows(
-                    [phis[c] for c in charts], [psis[c] for c in charts],
-                    system.width, params.n_trunc, labels=[f"chart {c}" for c in charts])))
-            t1 = time.perf_counter()
-            report.phase_ms["compose"] = (t1 - t_compose) * 1000.0
-            report.wall_ms = (t1 - t0) * 1000.0
+            chain.append([psis[c] for c in charts])
+            report.phase_ms["compose"] = 0.0
+            report.wall_ms = (time.perf_counter() - t0) * 1000.0
             trace.rows.append(report)
             max_maj = report.certificates["contraction_claim"].lhs
+        phis = [identity_map(params.sigma0) for _ in charts]
+        if chain:
+            t0 = time.perf_counter()
+            phis = compose_rows(chain, sigma_m, params.n_trunc,
+                                labels=[f"chart {c}" for c in charts])
+            collapse_ms = (time.perf_counter() - t0) * 1000.0
+            trace.rows[-2].phase_ms["compose"] = collapse_ms
+            trace.rows[-2].wall_ms += collapse_ms
     except Exception as exc:
         exc.trace = trace
         raise
 
     conj = Conjugacy(
-        charts=phis,
+        charts=dict(zip(charts, phis)),
         linear_cocycle=system.bundle(),
         final_width=sigma_m,
     )

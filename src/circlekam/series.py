@@ -194,7 +194,10 @@ class LaurentSeries:
                 if len(entry) != 3:
                     raise SchemaError(f"bad coefficient entry {entry!r}")
                 n, re, im = entry
-                coeffs[_integral(n)] = complex(_real(re), _real(im))
+                n = _integral(n)
+                if n in coeffs:
+                    raise SchemaError(f"coefficient index {n} appears more than once")
+                coeffs[n] = complex(_real(re), _real(im))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad Laurent series document: {exc}") from exc
         return cls.from_coeffs(coeffs, width, n_trunc=n_t)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from circlekam import CircleDiffeo, LaurentSeries, eval_diffeo, unit_circle
+from circlekam import CircleDiffeo, LaurentSeries, build_single_chart, eval_diffeo, unit_circle
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 SILVER = np.sqrt(2.0) - 1.0
@@ -23,6 +23,14 @@ def random_diffeo(rng, width=1.0, scale=1e-5, max_mode=4, phase=None):
     if phase is None:
         phase = 2.0 * np.pi * rng.random()
     return CircleDiffeo(phase, random_symmetric_hat(rng, width, scale, max_mode))
+
+
+def arnold_scenario(eps):
+    """The untuned golden-mean Arnol'd map ``x -> x + theta + eps/2pi
+    sin(2 pi x)``, hat ``eps/2 (w - 1/w)``: N=128, sigma0=1, default eta0,
+    non-strict."""
+    hat = LaurentSeries.from_coeffs({1: eps / 2, -1: -eps / 2}, width=1.0)
+    return build_single_chart(GOLDEN, hat, 1.0, n_trunc=128, strict_schedule=False)
 
 
 def circle_defect(f, samples):

@@ -23,6 +23,7 @@ from circlekam import (
     rotation_number,
     unit_circle,
 )
+from circlekam.circle import compose_rows
 
 from conftest import (
     GOLDEN,
@@ -216,6 +217,36 @@ class TestCompose:
         small = rotation(0.2, width=1.0)
         with pytest.raises(NestingError):
             compose(small, big, out_width=0.9)
+
+
+class TestComposeChain:
+    def test_three_factors_pointwise_oracle(self, rng):
+        f, g, h = (random_diffeo(rng, width=1.0, scale=2e-4) for _ in range(3))
+        (composite,) = compose_rows([[h], [g], [f]], 0.8, 64)
+        w = np.exp(1j * rng.uniform(0, TWO_PI, 128))
+        direct = eval_diffeo(h, eval_diffeo(g, eval_diffeo(f, w)))
+        assert np.max(np.abs(eval_diffeo(composite, w) - direct)) < 1e-9
+
+    def test_one_factor_is_rewidthed_not_reexpanded(self, rng):
+        f = random_diffeo(rng, width=1.0, scale=2e-4)
+        (g,) = compose_rows([[f]], 0.8, 64)
+        assert (g.phase, g.width) == (f.phase, 0.8)
+        assert np.array_equal(g.hat.band, f.hat.band)
+        with pytest.raises(NestingError) as info:
+            compose_rows([[f]], 1.1, 64)
+        assert info.value.inclusion == "inner factors(out_annulus) within domain(factor 0)"
+
+    def test_nesting_failure_names_the_factor(self):
+        # row b: the innermost factor maps the width-0.9 annulus past the
+        # middle factor's width 1.0; weighing the middle factor at that reach
+        # would raise AnnulusDomainError, so it is not weighed
+        big = CircleDiffeo(0.1, LaurentSeries.from_coeffs({1: 0.3, -1: -0.3}, width=1.0))
+        small = CircleDiffeo(0.2, LaurentSeries.from_coeffs({1: 1e-4, -1: -1e-4}, 1.0))
+        chain = [[small, small], [small, small], [small, big]]
+        with pytest.raises(NestingError) as info:
+            compose_rows(chain, 0.9, 32, labels=["chart a", "chart b"])
+        assert str(info.value).startswith("chart b: factor 1:")
+        assert info.value.inclusion == "inner factors(out_annulus) within domain(factor 1)"
 
 
 class TestInvert:

@@ -29,7 +29,7 @@ import circlekam
 from circlekam import engine
 from circlekam.cli import _diagnose, build_parser, main
 
-from conftest import GOLDEN, SILVER
+from conftest import GOLDEN, SILVER, arnold_scenario
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,6 +122,43 @@ class TestRun:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+class TestChainCollapse:
+    def test_arnold_chain_converges_and_verifies(self, tmp_path, capsys):
+        # composed after each step, this run failed annulus nesting (exit 3)
+        path = tmp_path / "arnold.json"
+        arnold_scenario(0.3).save(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["converged"] is True and report["conjugation_residual"] <= 1e-11
+        assert main(["verify", str(out / "conjugacy.json"), str(path)]) == 0
+        assert strict_json(capsys.readouterr().out)["outcome"] == "verified"
+
+    def test_chain_nesting_failure_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "arnold.json"
+        arnold_scenario(0.5).save(path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "certificate_failure"
+        assert report["message"].startswith("chart U0: factor 1:")
+        assert strict_json((out / "diagnostics.json").read_text()) == report
+
+    def test_repeated_coefficient_index_exits_2(self, flagship_scenario, tmp_path, capsys):
+        # the last entry used to win: the run converged on c_1 = 1e-4 and
+        # dropped the 0.7 written first
+        doc = json.loads(flagship_scenario.read_text())
+        doc["edges"][0]["hat"]["coeffs"] = [[1, 0.7, 0], [1, 1e-4, 0], [-1, -1e-4, 0]]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--no-strict", "--out", str(out)]) == 2
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "validation_error"
+        assert "coefficient index 1" in report["message"]
+        assert not (out / "conjugacy.json").exists()
 
 
 class TestVerify:

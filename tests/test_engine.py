@@ -9,6 +9,7 @@ from circlekam import (
     Conjugacy,
     KamParams,
     LaurentSeries,
+    NestingError,
     ResonantModeError,
     Scenario,
     ScheduleViolationError,
@@ -32,7 +33,9 @@ from circlekam import (
 from circlekam import cocycle, engine
 from circlekam.engine import CERTIFICATES, CSV_HEADER, StepReport, _certify, resolve_c0
 
-from conftest import GOLDEN, random_symmetric_hat, safe_rotation_numbers
+from circlekam.circle import eval_diffeos
+
+from conftest import GOLDEN, arnold_scenario, random_symmetric_hat, safe_rotation_numbers
 
 TWO_PI = 2.0 * np.pi
 
@@ -426,6 +429,48 @@ class TestRun:
         assert res.converged and res.steps == 3
         assert res.conjugation_residual <= 1e-11
 
+    def test_collapsed_chain_matches_the_chain_pointwise(self, monkeypatch):
+        # the oracle: every step's changes, applied innermost first at each
+        # point, against the chart the run collapsed them into
+        chain = []
+        real = engine.kam_step
+
+        def kam_step(*args, **kwargs):
+            out = real(*args, **kwargs)
+            chain.append(out[1])
+            return out
+
+        monkeypatch.setattr(engine, "kam_step", kam_step)
+        sc = arnold_scenario(0.1)
+        res = run(sc.system, sc.params)
+        assert res.converged and res.steps == len(chain) >= 3
+        u = unit_circle(256)
+        z = u[None]
+        for psis in reversed(chain):
+            z = eval_diffeos([psis["U0"]], z)
+        chart = res.conjugacy.charts["U0"]
+        assert chart.width == res.conjugacy.final_width == res.trace.rows[-1].sigma
+        assert np.max(np.abs(eval_diffeo(chart, u) - z[0])) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.25, 0.3, 0.4])
+    def test_arnold_family_converges_past_the_step_composition(self, eps):
+        # composed after each step at the next schedule width, these runs
+        # failed annulus nesting against psi_0 narrowed to sigma_1
+        sc = arnold_scenario(eps)
+        res = run(sc.system, sc.params)
+        assert res.converged and res.steps >= 4
+        assert res.conjugation_residual <= 1e-11
+
+    def test_chain_nesting_failure_is_a_nesting_error(self):
+        # the reach leaves factor 1's domain; weighing factor 1 at that reach
+        # would raise AnnulusDomainError instead
+        sc = arnold_scenario(0.5)
+        with pytest.raises(NestingError) as info:
+            run(sc.system, sc.params)
+        assert str(info.value).startswith("chart U0: factor 1:")
+        assert info.value.inclusion == "inner factors(out_annulus) within domain(factor 1)"
+        assert len(info.value.trace.rows) >= 4   # the steps, then the final row
+
     def test_genus2_large_truncation_certificates_finite(self, rng):
         # N * sigma0 = 1024: majorants of sparse hats must stay finite
         psi = CircleDiffeo(0.0, random_symmetric_hat(rng, 1.2, 5e-5))
@@ -470,23 +515,28 @@ class TestRun:
         assert res.conjugation_residual <= 1e-10
 
     def test_trace_json_carries_phase_wall_times(self):
-        sc = golden_scenario(1e-4, strict=False)
-        res = run(sc.system, sc.params)
-        rows = res.trace.to_json_dict()["rows"]
-        assert len(rows) == len(res.trace.rows) >= 2
-        timing = ("wall_ms", "phase_ms")
-        for row, report in zip(rows, res.trace.rows):
-            # past the wall times, a row is its StepReport's fields by value,
-            # the certificates in ledger form
-            expected = {k: getattr(report, k) for k in row if k not in timing}
-            expected["certificates"] = report.ledger()
-            assert {k: v for k, v in row.items() if k not in timing} == expected
-        for row in rows[:-1]:
-            phases = row["phase_ms"]
-            assert set(phases) == {"gate", "solve", "certificates", "renewal", "compose"}
-            assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
-            assert sum(phases.values()) <= row["wall_ms"] * (1 + 1e-9)
-        assert rows[-1]["phase_ms"] == {}   # the converged row runs no step
+        # a 2-step run, and a 4-step one whose chain collapses after 4 steps
+        for sc in (golden_scenario(1e-4, strict=False), arnold_scenario(0.1)):
+            res = run(sc.system, sc.params)
+            rows = res.trace.to_json_dict()["rows"]
+            assert len(rows) == len(res.trace.rows) >= 2
+            timing = ("wall_ms", "phase_ms")
+            for row, report in zip(rows, res.trace.rows):
+                # past the wall times, a row is its StepReport's fields by
+                # value, the certificates in ledger form
+                expected = {k: getattr(report, k) for k in row if k not in timing}
+                expected["certificates"] = report.ledger()
+                assert {k: v for k, v in row.items() if k not in timing} == expected
+            for row in rows[:-1]:
+                phases = row["phase_ms"]
+                assert set(phases) == {"gate", "solve", "certificates", "renewal", "compose"}
+                assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
+                assert sum(phases.values()) <= row["wall_ms"] * (1 + 1e-9)
+            assert rows[-1]["phase_ms"] == {}   # the converged row runs no step
+        assert res.steps >= 3
+        # the chain is collapsed once, after the last step, and timed there
+        assert [row["phase_ms"]["compose"] for row in rows[:-2]] == [0.0] * (res.steps - 1)
+        assert rows[-2]["phase_ms"]["compose"] > 0.0
 
     def test_trace_json_keys_are_pinned(self):
         # trace.json is read by tools outside the package: its keys and their

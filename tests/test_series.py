@@ -13,6 +13,7 @@ from circlekam import (
     InsufficientSamplesError,
     LaurentSeries,
     RotationConvergenceWarning,
+    SchemaError,
     coeffs_from_circle,
     conjugated_rotation,
     decay_check,
@@ -270,6 +271,13 @@ class TestSerialization:
         assert back.width == s.width
         assert back.truncation == s.truncation
         assert np.array_equal(back.coeffs, s.coeffs)
+
+    def test_repeated_index_rejected(self):
+        # the last entry used to win: a run used another map than the one written
+        doc = LaurentSeries.from_coeffs({1: 1e-4, -1: -1e-4}, width=1.0).to_json_dict()
+        doc["coeffs"].insert(0, [1, 0.7, 0.0])
+        with pytest.raises(SchemaError, match="coefficient index 1 appears more than once"):
+            LaurentSeries.from_json_dict(json.loads(json.dumps(doc)))
 
     def test_tiny_coefficients_omitted(self):
         s = LaurentSeries.from_coeffs({1: 1e-301, 2: 1.0, -2: -1.0}, width=1.0)
