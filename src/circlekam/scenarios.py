@@ -30,8 +30,7 @@ from .circle import (
     identity_map,
     unit_circle,
 )
-# builds the genus-2 pairs; it lives in circle beside invert, whose row
-# sampling it shares
+# builds the genus-2 pairs; it lives in circle beside the row functions it samples
 from .circle import conjugated_rotation
 from .cocycle import Edge, Nerve, TransitionSystem
 from .engine import Conjugacy, KamParams

@@ -25,12 +25,13 @@ def random_diffeo(rng, width=1.0, scale=1e-5, max_mode=4, phase=None):
     return CircleDiffeo(phase, random_symmetric_hat(rng, width, scale, max_mode))
 
 
-def arnold_scenario(eps):
+def arnold_scenario(eps, **params):
     """The untuned golden-mean Arnol'd map ``x -> x + theta + eps/2pi
     sin(2 pi x)``, hat ``eps/2 (w - 1/w)``: N=128, sigma0=1, default eta0,
-    non-strict."""
+    non-strict, unless ``params`` (KamParams fields) say otherwise."""
     hat = LaurentSeries.from_coeffs({1: eps / 2, -1: -eps / 2}, width=1.0)
-    return build_single_chart(GOLDEN, hat, 1.0, n_trunc=128, strict_schedule=False)
+    params = {"n_trunc": 128, "strict_schedule": False, **params}
+    return build_single_chart(GOLDEN, hat, 1.0, **params)
 
 
 def circle_defect(f, samples):

@@ -23,6 +23,7 @@ from circlekam import (
     rotation_number,
     unit_circle,
 )
+from circlekam import circle
 from circlekam.circle import compose_rows
 
 from conftest import (
@@ -236,10 +237,19 @@ class TestComposeChain:
             compose_rows([[f]], 1.1, 64)
         assert info.value.inclusion == "inner factors(out_annulus) within domain(factor 0)"
 
-    def test_nesting_failure_names_the_factor(self):
+    def test_nesting_failure_names_the_factor(self, monkeypatch):
         # row b: the innermost factor maps the width-0.9 annulus past the
         # middle factor's width 1.0; weighing the middle factor at that reach
-        # would raise AnnulusDomainError, so it is not weighed
+        # would raise AnnulusDomainError, so it is not weighed. Nesting needs
+        # no samples, so a chain that does not nest samples nothing, not even
+        # its row a, which nests
+        sampled, expand = [], circle.expand_rows_by_degree
+
+        def counting(*args, **kwargs):
+            sampled.append(args)
+            return expand(*args, **kwargs)
+
+        monkeypatch.setattr(circle, "expand_rows_by_degree", counting)
         big = CircleDiffeo(0.1, LaurentSeries.from_coeffs({1: 0.3, -1: -0.3}, width=1.0))
         small = CircleDiffeo(0.2, LaurentSeries.from_coeffs({1: 1e-4, -1: -1e-4}, 1.0))
         chain = [[small, small], [small, small], [small, big]]
@@ -247,6 +257,7 @@ class TestComposeChain:
             compose_rows(chain, 0.9, 32, labels=["chart a", "chart b"])
         assert str(info.value).startswith("chart b: factor 1:")
         assert info.value.inclusion == "inner factors(out_annulus) within domain(factor 1)"
+        assert len(sampled) == 0
 
 
 class TestInvert:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,19 @@ class TestChainCollapse:
         assert report["outcome"] == "certificate_failure"
         assert report["message"].startswith("chart U0: factor 1:")
         assert strict_json((out / "diagnostics.json").read_text()) == report
+
+    def test_chain_nesting_failure_at_huge_truncation_exits_3(self, tmp_path, capsys):
+        # sampled before its nesting was decided, this run ended in
+        # MemoryError (exit 2) after the grid doubled towards 4N points
+        path = tmp_path / "arnold_huge.json"
+        arnold_scenario(0.5, n_trunc=10**12, c0=3.0).save(path)
+        t0 = time.perf_counter()
+        assert main(["run", str(path), "--no-strict", "--out", str(tmp_path / "out")]) == 3
+        assert time.perf_counter() - t0 < 5.0
+        report = strict_json(capsys.readouterr().out)
+        assert report["outcome"] == "certificate_failure"
+        assert report["inclusion"] == "inner factors(out_annulus) within domain(factor 1)"
+        assert report["message"].startswith("chart U0: factor 1:")
 
     def test_repeated_coefficient_index_exits_2(self, flagship_scenario, tmp_path, capsys):
         # the last entry used to win: the run converged on c_1 = 1e-4 and

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -470,6 +471,17 @@ class TestRun:
         assert str(info.value).startswith("chart U0: factor 1:")
         assert info.value.inclusion == "inner factors(out_annulus) within domain(factor 1)"
         assert len(info.value.trace.rows) >= 4   # the steps, then the final row
+
+    def test_chain_nesting_failure_at_huge_truncation_is_a_nesting_error(self):
+        # nesting is decided before the collapse samples; sampled first, the
+        # grid doubled towards 4N points until an allocation failed
+        sc = arnold_scenario(0.5, n_trunc=10**12, c0=3.0)
+        t0 = time.perf_counter()
+        with pytest.raises(NestingError) as info:
+            run(sc.system, sc.params)
+        assert time.perf_counter() - t0 < 5.0
+        assert str(info.value).startswith("chart U0: factor 1:")
+        assert info.value.inclusion == "inner factors(out_annulus) within domain(factor 1)"
 
     def test_genus2_large_truncation_certificates_finite(self, rng):
         # N * sigma0 = 1024: majorants of sparse hats must stay finite
