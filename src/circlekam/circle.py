@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import cmath
 import logging
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,11 +154,16 @@ def _rows_of(maps) -> tuple[np.ndarray, SeriesRows]:
     return np.array([f.phase for f in maps]), SeriesRows.of([f.hat for f in maps])
 
 
-def _eval_rows(phases: np.ndarray, hats: SeriesRows, w: np.ndarray, errors: dict):
+def _eval_rows(phases: np.ndarray, hats: SeriesRows, w: np.ndarray, errors: dict,
+               grid: bool = False):
     """Row r: ``w[r] exp(i phase_r + hat_r(w[r]))`` (or at the shared points
-    ``w``); a row with a point outside its annulus fails."""
+    ``w``); a row with a point outside its annulus fails. With ``grid`` the
+    points are the shared ``unit_circle(M)`` and the hats are evaluated
+    there by one inverse FFT (:meth:`SeriesRows.on_circles`), else by
+    Horner."""
     _fail(errors, hats.outside(w), hats.domain_error)
-    return w * np.exp(1j * phases[:, None] + hats(w))
+    vals = hats.on_circles([0.0], w.size)[0] if grid else hats(w)
+    return w * np.exp(1j * phases[:, None] + vals)
 
 
 def _solve_log_lift(hats: SeriesRows, zeta0: np.ndarray, errors: dict) -> np.ndarray:
@@ -246,6 +252,9 @@ class ExpandInfo:
     symmetry_defect: float   # projection size applied to restore symmetry
     tail_mass: float         # discarded band N < |n| <= M/2, unit-circle sum
     noise_floor: float       # coefficients at or below this were zeroed
+    # M, the unit-circle points sampled (0: nothing was expanded); a grid
+    # size, not an outcome, so it is left out of comparisons
+    points: int = field(default=0, compare=False)
 
 
 def _expand_rows(vals: np.ndarray, n_trunc: int, errors: dict):
@@ -278,7 +287,7 @@ def _expand_rows(vals: np.ndarray, n_trunc: int, errors: dict):
     # the band N < |n| <= M/2 is the entries k = N+1 .. M-N-1 of the DFT
     tail = np.abs(spectrum[:, n_trunc + 1 : m - n_trunc])
     infos = [ExpandInfo(symmetry_defect=d, tail_mass=float(np.sum(t[t > f])),
-                        noise_floor=f)
+                        noise_floor=f, points=m)
              for d, t, f in zip(defect.tolist(), tail, floor.tolist())]
     return [c % TWO_PI for c in c0.imag.tolist()], hats, infos
 
@@ -298,16 +307,27 @@ def expand_detailed(fvals, n_trunc: int, width: float) -> tuple[CircleDiffeo, Ex
 
 
 def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
-                          labels=None) -> tuple[list, list]:
+                          labels=None, bound=None) -> tuple[list, list]:
     """Expand the maps that ``sample`` evaluates row by row on one grid of
     unit-circle points, sized by the data rather than by ``n_trunc``.
 
     ``sample(w)`` returns the stacked values (R, M) at the points ``w`` and a
     dict of per-row errors. ``degrees[r]`` is the sum of the effective
-    degrees of the factors row r composes. The expansion starts at the
-    largest per-row truncation ``k = max(1, 2 * degree)`` with ``M = 4k``
-    samples and doubles k while the measured band ``k < |n| <= 2k`` of some
-    row still holds a coefficient above that row's noise floor
+    degrees of the factors row r composes. ``bound``, when given, holds per
+    row a proven truncation ``k_r`` and the log-radius ``s_r`` it was read
+    at (:func:`expand_chain`): ``log(g(w)/w)`` less its phase is bounded by
+    some G on ``|log|w|| <= s_r``, so by Cauchy its coefficients obey
+    ``|c_n| <= G e^{-|n| s_r}`` and those beyond ``k_r`` lie below a
+    quarter of the least noise floor. On ``M = 4k`` points the DFT folds
+    ``c_{n+jM}`` onto ``c_n``; for ``|n| <= k``, ``|n + jM| >= 3k`` when
+    ``j != 0``, so the in-band aliasing is at most about ``2 G e^{-3ks}``
+    (Trefethen and Weideman, "The exponentially convergent trapezoidal
+    rule", SIAM Review 56, 2014). A row whose ``k_r`` is not finite starts
+    where every row started before the bound: ``2 * degrees[r]``.
+
+    The expansion starts at the largest row start ``k``, at least 1, with
+    ``M = 4k`` samples, and doubles k while the measured band ``k < |n| <=
+    2k`` of some row still holds a coefficient above that row's noise floor
     (``ExpandInfo.tail_mass > 0``) or some row fails, the adaptive-truncation
     rule of spectral methods (Aurentz and Trefethen, "Chopping a Chebyshev
     series", ACM TOMS 43, 2017). At ``k = n_trunc`` the grid is exactly the
@@ -316,9 +336,18 @@ def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
     Returns one map (hat zero-padded to ``n_trunc``, built from its band
     of the last attempt) and one :class:`ExpandInfo` per row. The final
     truncation, its number of points and the number of attempts are logged
-    at debug level.
+    at debug level, with the largest finite row bound and its s, or "no
+    bound".
     """
-    k = min(n_trunc, max(1, 2 * max(degrees)))
+    starts = [2 * d for d in degrees]
+    note = "no bound"
+    if bound is not None:
+        k_bound, s_bound = bound
+        starts = [2 * d if kb == math.inf else kb for kb, d in zip(k_bound, degrees)]
+        bounded = [(kb, sb) for kb, sb in zip(k_bound, s_bound) if kb < math.inf]
+        if bounded:
+            note = "bound k = %d, s = %.6g" % max(bounded)
+    k = int(min(n_trunc, max(1, *starts)))
     attempts = 0
     while True:
         final = k >= n_trunc
@@ -332,29 +361,134 @@ def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
         if final or not errors and all(i.tail_mass == 0.0 for i in infos):
             break
         k = min(2 * k, n_trunc)
-    logger.debug("expand by degree: k = %d on M = %d points after %d attempts",
-                 k, m, attempts)
+    logger.debug("expand by degree: k = %d on M = %d points after %d attempts (%s)",
+                 k, m, attempts, note)
     return [CircleDiffeo(p, LaurentSeries.from_band(h, width, n_trunc))
             for p, h in zip(phases, hats)], infos
 
 
-def expand_chain(factors, n_trunc: int, width: float, labels=None):
-    """Row r: the composite of ``factors``, expanded on the grid of
-    :func:`expand_rows_by_degree` from the sum of its factors' degrees: the
-    one sampler of every composite map and of every inverse. Each factor is
-    a pair ``(maps, inverse)``, in the order applied: row r goes through
-    ``maps[r]``, or its inverse when ``inverse`` is true. Returns the maps
-    and their :class:`ExpandInfo`; an error names its row by its label."""
+def _width_sums(factors) -> dict:
+    """``{id(hat): (majorant, log-derivative majorant)}``, both at the hat's
+    own width, for each distinct hat of a chain (``(maps, inverse)`` pairs),
+    from one stacked :func:`majorants` call."""
+    hats = list({id(f.hat): f.hat for row, _ in factors for f in row}.values())
+    widths = [h.width for h in hats]
+    maj = majorants(hats + hats, widths + widths,
+                    [0] * len(hats) + [1] * len(hats)).tolist()
+    return {id(h): (m, q) for h, m, q in zip(hats, maj, maj[len(hats):])}
+
+
+def _cauchy_start(factors, sums: dict) -> tuple[list, list]:
+    """Per row of a chain (``(maps, inverse)`` pairs in the order applied,
+    as in :func:`expand_chain`), the proven start truncation k of its grid
+    and the log-radius s it holds on, from its :func:`_width_sums` and no
+    samples; k is inf where the chain nests on no annulus.
+
+    In the log coordinate ``zeta = log w`` factor j moves zeta, anywhere on
+    its strip ``|Re zeta| <= width``, by at most D_j. A forward factor moves
+    it by ``i phase + hat(e^zeta)``, and ``|hat| <= sum |c_n| e^{|n|
+    width}``, its majorant at its width. An inverse factor solves ``xi =
+    zeta - i phase - hat(e^xi)``. With q_j the log-derivative majorant of
+    its hat at its width, the right side is a q_j-contraction on the strip,
+    and for ``q_j < 1`` it maps the disc of radius ``D_j = majorant / (1 -
+    q_j)`` about ``zeta - i phase`` into itself as long as that disc lies in
+    the strip; so the solution moves by at most D_j (Banach), and D_j is inf
+    where ``q_j >= 1``.
+
+    A point with ``|log|w|| <= s`` reaches factor j within ``s + Delta_j``,
+    ``Delta_j = sum_{l<j} D_l``, of the real axis, which must lie within the
+    factor's width (for an inverse, together with its disc: ``+ D_j``); s
+    is the largest such log-radius. On ``|log|w|| <= s`` the function
+    ``log(g(w)/w) - i Phi`` (Phi the sum of the phases, an inverse's
+    negated) is the sum of the factors' moves, so ``G = sum_j D_j`` bounds
+    it. Factor j's move is also its hat at the point the phases alone would
+    give, a Laurent polynomial of the hat's degree d_j, plus a rest: that
+    point lies within ``Delta_j`` (an inverse: ``Delta_j + D_j``) of the true
+    one, and the hat moves by at most q_j times that. So beyond ``d = max_j
+    d_j`` the coefficients are those of the rests, bounded by ``G2 =
+    sum_j q_j (Delta_j [+ D_j])``. By Cauchy ``|c_n| <= G e^{-|n| s}``, and
+    ``|c_n| <= G2 e^{-|n| s}`` for ``|n| > d``; k is the least with ``G
+    e^{-(k+1) s} <= NOISE_FLOOR_FACTOR / 4``, or, if smaller, the larger of
+    d and the least with ``G2 e^{-(k+1) s} <= NOISE_FLOOR_FACTOR / 4``. A
+    displacement that is not finite leaves the row with no bound.
+    """
+    # the recursion over a chain's few factors is scalar
+    starts, radii = [], []
+    for r in range(len(factors[0][0])):
+        s, reach, rest, degree = math.inf, 0.0, 0.0, 0
+        for row, inverse in factors:
+            hat = row[r].hat
+            m, q = sums[id(hat)]
+            move, own = m, 0.0
+            if inverse:
+                move = own = m / (1.0 - q) if q < 1.0 else math.inf
+            s = min(s, hat.width - reach - own)
+            rest += q * (reach + own)
+            reach += move
+            degree = max(degree, hat.degree)
+        k = math.inf
+        if s > 0 and reach < math.inf:
+            k = min(_least_k(reach, s), max(degree, _least_k(rest, s)))
+        starts.append(max(k, 0))
+        radii.append(s)
+    return starts, radii
+
+
+def _least_k(bound: float, s: float) -> float:
+    """The least k with ``bound e^{-(k+1) s} <= NOISE_FLOOR_FACTOR / 4``
+    (-inf for a zero bound, inf for one that is not finite)."""
+    if not bound < math.inf:
+        return math.inf
+    if bound == 0.0:
+        return -math.inf
+    return math.ceil(math.log(4.0 / NOISE_FLOOR_FACTOR * bound) / s) - 1
+
+
+def expand_chain(factors, n_trunc: int, width: float, labels=None, sums=None):
+    """Row r: the composite of ``factors``, expanded by
+    :func:`expand_rows_by_degree`: the one sampler of every composite map
+    and of every inverse. Each factor is a pair ``(maps, inverse)``, in the
+    order applied: row r goes through ``maps[r]``, or its inverse when
+    ``inverse`` is true. Returns the maps and their :class:`ExpandInfo`; an
+    error names its row by its label.
+
+    The grid starts at a proven truncation (:func:`_cauchy_start`). With
+    a bound D_j on how far factor j moves ``log w`` on its own strip, the
+    chain is defined on ``|log|w|| <= s`` for the largest s at which every
+    factor is reached within its width, and there ``G = sum_j D_j`` bounds
+    ``|log(g(w)/w) - i Phi|`` (Phi the sum of the phases, an inverse's
+    negated), a function analytic on that annulus. So its coefficients
+    obey the Cauchy estimate ``|c_n| <= G e^{-|n| s}``, and the least k
+    with ``G e^{-(k+1) s} <= NOISE_FLOOR_FACTOR / 4`` leaves every
+    coefficient beyond k below a quarter of the least noise floor; on
+    ``4k`` points the aliasing is then at most about ``2 G e^{-3ks}``.
+    Beyond the largest factor degree only the second-order rests of the
+    factors' moves contribute, which gives a second, often smaller start
+    (:func:`_cauchy_start`). G enters k through its log only, so weighing
+    each factor at its width rather than at the reach costs little, and it
+    takes one stacked majorant call per chain (:func:`_width_sums`, or
+    ``sums`` when the caller has them). A row whose chain nests on no
+    annulus starts at twice the sum of its factors' degrees.
+
+    The innermost factor, when it is a forward one, is evaluated on the
+    sampling grid itself by one inverse FFT whenever the grid has ``2d+1``
+    points for its degree d; every other factor by Horner.
+    """
     rows = [(_rows_of(maps), inverse) for maps, inverse in factors]
     degrees = [sum(f.hat.degree for f in row) for row in zip(*(m for m, _ in factors))]
+    bound = _cauchy_start(factors, _width_sums(factors) if sums is None else sums)
 
     def sample(w):
         errs: dict = {}
-        for (phases, hats), inverse in rows:
-            w = (_inverse_rows if inverse else _eval_rows)(phases, hats, w, errs)
+        for i, ((phases, hats), inverse) in enumerate(rows):
+            if inverse:
+                w = _inverse_rows(phases, hats, w, errs)
+            else:
+                grid = i == 0 and w.size >= 2 * hats.degree + 1
+                w = _eval_rows(phases, hats, w, errs, grid)
         return w, errs
 
-    return expand_rows_by_degree(sample, degrees, n_trunc, width, labels)
+    return expand_rows_by_degree(sample, degrees, n_trunc, width, labels, bound)
 
 
 def renew_rows(src, maps, dst, n_trunc: int, width: float, labels=None):
@@ -442,35 +576,56 @@ def rotation_number(f: CircleDiffeo, iters: int = ROTATION_ITERS) -> float:
     return float(rho % 1.0)
 
 
-def compose_rows(chain, out_width: float, n_trunc: int, labels=None) -> list:
+def compose_rows(chain, out_width: float, n_trunc: int, labels=None) -> tuple[list, list]:
     """Row r: ``chain[0][r] o chain[1][r] o ...`` (outermost factor first)
-    re-expanded at width ``out_width`` by :func:`expand_chain`; a chain of
-    one factor is its maps re-widthed, not re-expanded.
+    re-expanded at width ``out_width`` by :func:`expand_chain`, with the
+    :class:`ExpandInfo` of each row; a chain of one factor is its maps
+    re-widthed, not re-expanded (infos of zeros).
 
     Nesting is certified first, with no samples, from the inside out by
     the one-sided weighted norms: the reach starts at ``out_width``, must
     lie within each factor's width (NaN fails), and then grows by that
     factor's majorant at the reach. A failing row is weighed no further;
     the first failing row's :class:`NestingError`, naming the factor and
-    prefixed with the row's label, is raised before any row is sampled."""
+    prefixed with the row's label, is raised before any row is sampled.
+    The majorants at the factors' widths, which the grid bound of
+    :func:`expand_chain` takes anyway, bound those at the reach: a chain
+    they nest with a relative margin of ``1e-12`` (which covers the
+    rounding of the sums) nests by the reach too, and is not weighed
+    again."""
+    factors = [(maps, False) for maps in reversed(chain)]
+    sums = _width_sums(factors) if len(chain) > 1 else None
     errors: dict = {}
-    reach = np.full(len(chain[0]), float(out_width))
-    for i in reversed(range(len(chain))):
-        for r, (x, f) in enumerate(zip(reach.tolist(), chain[i])):
-            if r not in errors and not x <= f.width:
-                errors[r] = NestingError(
-                    f"factor {i}: the factors inside it map the width-{out_width:.6g} "
-                    f"annulus into width {x:.6g}, outside its domain width {f.width:.6g}",
-                    f"inner factors(out_annulus) within domain(factor {i})")
-        if i:
-            live = [r for r in range(reach.size) if r not in errors]
-            reach[live] += majorants([chain[i][r].hat for r in live], reach[live])
+    if sums is None or not all(_nests_at_widths(factors, sums, out_width, r)
+                               for r in range(len(chain[0]))):
+        reach = np.full(len(chain[0]), float(out_width))
+        for i in reversed(range(len(chain))):
+            for r, (x, f) in enumerate(zip(reach.tolist(), chain[i])):
+                if r not in errors and not x <= f.width:
+                    errors[r] = NestingError(
+                        f"factor {i}: the factors inside it map the width-{out_width:.6g} "
+                        f"annulus into width {x:.6g}, outside its domain width {f.width:.6g}",
+                        f"inner factors(out_annulus) within domain(factor {i})")
+            if i:
+                live = [r for r in range(reach.size) if r not in errors]
+                reach[live] += majorants([chain[i][r].hat for r in live], reach[live])
     _raise_first(errors, labels)
     if len(chain) == 1:
-        return [CircleDiffeo(f.phase, f.hat.with_width(out_width)) for f in chain[0]]
-    maps, _ = expand_chain([(maps, False) for maps in reversed(chain)], n_trunc,
-                           out_width, labels)
-    return maps
+        return ([CircleDiffeo(f.phase, f.hat.with_width(out_width)) for f in chain[0]],
+                [ExpandInfo(0.0, 0.0, 0.0) for _ in chain[0]])
+    return expand_chain(factors, n_trunc, out_width, labels, sums)
+
+
+def _nests_at_widths(factors, sums: dict, out_width: float, r: int) -> bool:
+    """Row r of a forward chain nests when each factor is weighed at its
+    width: the reach from ``out_width``, grown by those majorants, stays
+    below each factor's width by a relative margin of ``1e-12``."""
+    reach = out_width
+    for maps, _ in factors:
+        if not reach <= maps[r].width * (1.0 - 1e-12):
+            return False
+        reach += sums[id(maps[r].hat)][0]
+    return True
 
 
 def compose(
@@ -481,7 +636,7 @@ def compose(
     factor, so the truncation defaults to the sum of the factors'."""
     if n_trunc is None:
         n_trunc = f.hat.truncation + g.hat.truncation
-    return compose_rows([[g], [f]], out_width, n_trunc)[0]
+    return compose_rows([[g], [f]], out_width, n_trunc)[0][0]
 
 
 def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> CircleDiffeo:
@@ -493,8 +648,8 @@ def invert(psi: CircleDiffeo, out_width: float, n_trunc: int | None = None) -> C
     more modes than psi (its hat decays only geometrically in the hat size),
     so the output truncation defaults to a comfortable multiple of the
     input's. The pointwise inverse is expanded by :func:`expand_chain`, on
-    the grid started from psi's degree and doubled until the inverse's band
-    is resolved. The result is accepted only if ``psi^{-1} o psi`` is the
+    the grid started from its Cauchy bound and doubled until the inverse's
+    band is resolved. The result is accepted only if ``psi^{-1} o psi`` is the
     identity to 1e-9 on three radii of the out_width annulus, each sampled
     at ``max(4 n_trunc, 8)`` points whatever grid the expansion stopped at.
     """

@@ -317,6 +317,9 @@ class StepReport:
     symmetry_projection: float = 0.0
     modes_solved: int = 0
     max_hat_empirical: float = 0.0   # sampled sup norm, diagnosis only
+    # unit-circle points M of the last expansion attempt of the renewal and
+    # of the collapse (last step row: the chain); 0 where none ran
+    grid_points: dict = field(default_factory=lambda: {"renewal": 0, "compose": 0})
     wall_ms: float = 0.0
     # wall time in ms of the phases gate (entry gate, sup-norm report and decay
     # audit), solve, certificates, renewal and compose (last step row: the chain)
@@ -395,6 +398,10 @@ class IterationTrace:
     # ledger is written to trace.json only, as a top-level key
     entry: StepReport = field(default_factory=lambda: StepReport(m=0))
     gate: "GateReport | None" = None   # the entry gate's report; None until it has run
+    # wall time in ms of the parts of run outside the step rows: entry (the
+    # C0 fit and the entry gate) and residual (the final conjugation
+    # residual); 0.0 for a part that has not run
+    run_phase_ms: dict = field(default_factory=lambda: {"entry": 0.0, "residual": 0.0})
 
     @property
     def violations(self) -> list:
@@ -416,6 +423,7 @@ class IterationTrace:
                 {"m": m, "certificate": cert} for m, cert in self.violations
             ],
             **GateReport.c0_record(self.gate),
+            "run_phase_ms": dict(self.run_phase_ms),
         }
 
 
@@ -633,6 +641,7 @@ def kam_step(
         params.n_trunc, sigma_next, labels=[f"edge {e}" for e in edges])
     d = np.abs(np.array([f.phase for f in new_transitions])
                - np.array([f.phase for f in system.transitions])) % TWO_PI
+    report.grid_points["renewal"] = infos[0].points if infos else 0
     report.phase_drift = float(np.max(np.minimum(d, TWO_PI - d), initial=0.0))
     report.tail_mass = float(np.max([i.tail_mass for i in infos], initial=0.0))
     report.symmetry_projection = float(np.max(
@@ -744,15 +753,18 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
     The steps' changes are kept as a chain and collapsed once, after the
     last step, into the per-chart conjugacy ``psi_0 o psi_1 o ...`` at the
     final width (:func:`compose_rows`), timed as the last step row's
-    ``compose``. Any hard error carries the trace so far on its ``trace``
-    attribute. The level's hat majorant is the ``initial_norm_gate`` lhs at
-    level 0 and the previous step's ``contraction_claim`` lhs from level 1
-    on: the same majorant at the same width.
+    ``compose``. The entry (C0 fit and entry gate) and the final residual
+    are timed in the trace's ``run_phase_ms``. Any hard error carries the
+    trace so far on its ``trace`` attribute. The level's hat majorant is the
+    ``initial_norm_gate`` lhs at level 0 and the previous step's
+    ``contraction_claim`` lhs from level 1 on: the same majorant at the same
+    width.
     """
     trace = IterationTrace(entry=StepReport(m=0, strict=params.strict_schedule))
     initial = system
     charts = system.nerve.charts
     try:
+        t0 = time.perf_counter()
         _check_truncations(system, params.n_trunc)
         gate = gate_check(system, params)
         if params.c0 is None:
@@ -760,6 +772,7 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         trace.gate = gate
         _certify(trace.entry, "initial_norm_gate",
                  np.max([row[1] for row in gate.per_edge], initial=0.0), gate.gate_value)
+        trace.run_phase_ms["entry"] = (time.perf_counter() - t0) * 1000.0
         chain = []
         max_maj = trace.entry.certificates["initial_norm_gate"].lhs
         for m, (sigma_m, eta_m, delta_m) in enumerate(_levels(params)):
@@ -778,11 +791,12 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         phis = [identity_map(params.sigma0) for _ in charts]
         if chain:
             t0 = time.perf_counter()
-            phis = compose_rows(chain, sigma_m, params.n_trunc,
-                                labels=[f"chart {c}" for c in charts])
+            phis, infos = compose_rows(chain, sigma_m, params.n_trunc,
+                                       labels=[f"chart {c}" for c in charts])
             collapse_ms = (time.perf_counter() - t0) * 1000.0
             trace.rows[-2].phase_ms["compose"] = collapse_ms
             trace.rows[-2].wall_ms += collapse_ms
+            trace.rows[-2].grid_points["compose"] = infos[0].points
     except Exception as exc:
         exc.trace = trace
         raise
@@ -792,7 +806,9 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
         linear_cocycle=system.bundle(),
         final_width=sigma_m,
     )
+    t0 = time.perf_counter()
     residual = conj.residual(initial)
+    trace.run_phase_ms["residual"] = (time.perf_counter() - t0) * 1000.0
     return RunResult(
         conjugacy=conj,
         trace=trace,

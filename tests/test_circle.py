@@ -223,14 +223,14 @@ class TestCompose:
 class TestComposeChain:
     def test_three_factors_pointwise_oracle(self, rng):
         f, g, h = (random_diffeo(rng, width=1.0, scale=2e-4) for _ in range(3))
-        (composite,) = compose_rows([[h], [g], [f]], 0.8, 64)
+        (composite,), _ = compose_rows([[h], [g], [f]], 0.8, 64)
         w = np.exp(1j * rng.uniform(0, TWO_PI, 128))
         direct = eval_diffeo(h, eval_diffeo(g, eval_diffeo(f, w)))
         assert np.max(np.abs(eval_diffeo(composite, w) - direct)) < 1e-9
 
     def test_one_factor_is_rewidthed_not_reexpanded(self, rng):
         f = random_diffeo(rng, width=1.0, scale=2e-4)
-        (g,) = compose_rows([[f]], 0.8, 64)
+        (g,), _ = compose_rows([[f]], 0.8, 64)
         assert (g.phase, g.width) == (f.phase, 0.8)
         assert np.array_equal(g.hat.band, f.hat.band)
         with pytest.raises(NestingError) as info:

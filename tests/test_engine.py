@@ -550,18 +550,59 @@ class TestRun:
         assert [row["phase_ms"]["compose"] for row in rows[:-2]] == [0.0] * (res.steps - 1)
         assert rows[-2]["phase_ms"]["compose"] > 0.0
 
+    def test_trace_accounts_for_the_whole_run(self):
+        # a genus-2 pair: the entry (C0 fit and entry gate) and the final
+        # residual are timed next to the step rows, and all the phases fit
+        # in the wall time of run
+        rng = np.random.default_rng(7)
+        th1, th2 = safe_rotation_numbers(rng, 2)
+        psi = CircleDiffeo(0.0, random_symmetric_hat(rng, 1.2, 5e-5))
+        sc = build_genus2(conjugated_rotation(psi, TWO_PI * th1, 256, 1.0),
+                          conjugated_rotation(psi, TWO_PI * th2, 256, 1.0),
+                          1.0, eta0=0.05, n_trunc=256, strict_schedule=False)
+        t0 = time.perf_counter()
+        res = run(sc.system, sc.params)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        doc = res.trace.to_json_dict()
+        assert res.converged and res.steps >= 2
+        phases = doc["run_phase_ms"]
+        assert set(phases) == {"entry", "residual"}
+        assert all(math.isfinite(v) and v >= 0.0 for v in phases.values())
+        steps = [v for row in doc["rows"] for v in row["phase_ms"].values()]
+        assert len(steps) == 5 * res.steps and all(v >= 0.0 for v in steps)
+        assert sum(phases.values()) + sum(steps) <= wall_ms
+
+    def test_trace_rows_carry_grid_sizes(self, caplog):
+        # M of the last attempt of each step's renewal, and of the collapse
+        # on the last step row; 0 where none ran. The debug line of each
+        # expansion gives the same M and the bound that started its grid
+        sc = arnold_scenario(0.1)
+        with caplog.at_level("DEBUG", logger="circlekam.circle"):
+            res = run(sc.system, sc.params)
+        lines = [r for r in caplog.records if r.msg.startswith("expand by degree")]
+        grids = [row.grid_points for row in res.trace.rows]
+        assert res.steps >= 3 and len(lines) == res.steps + 1
+        assert [g["renewal"] for g in grids[:-1]] == [r.args[1] for r in lines[:-1]]
+        assert [g["compose"] for g in grids] == [0] * (res.steps - 1) + [
+            lines[-1].args[1], 0]
+        assert grids[-1] == {"renewal": 0, "compose": 0}
+        assert all(r.args[3].startswith("bound k = ") for r in lines)
+        assert all(r.getMessage().endswith(f"({r.args[3]})") for r in lines)
+
     def test_trace_json_keys_are_pinned(self):
         # trace.json is read by tools outside the package: its keys and their
         # order change only by addition, on purpose
         sc = golden_scenario(1e-4, strict=False)
         doc = run(sc.system, sc.params).trace.to_json_dict()
         assert list(doc) == ["conventions", "initial_norm_gate", "rows", "violations",
-                             "C0", "C0_mode", "C0_loop", "C0_mode_convergent"]
+                             "C0", "C0_mode", "C0_loop", "C0_mode_convergent",
+                             "run_phase_ms"]
         for row in doc["rows"]:
             assert list(row) == [
                 "m", "sigma", "eta", "delta", "max_hat_norm", "worst_mode_residual",
                 "tail_mass", "certificates", "phase_drift", "symmetry_projection",
-                "modes_solved", "max_hat_empirical", "wall_ms", "phase_ms"]
+                "modes_solved", "max_hat_empirical", "grid_points", "wall_ms",
+                "phase_ms"]
 
     def test_trace_csv_shape(self):
         sc = golden_scenario(1e-4, strict=False)
@@ -650,6 +691,7 @@ class TestRun:
         def outputs(scenario):
             res = run(scenario.system, scenario.params)
             trace = res.trace.to_json_dict()
+            del trace["run_phase_ms"]
             for row in trace["rows"]:
                 del row["wall_ms"], row["phase_ms"]
             sim = extract_simultaneous(res.conjugacy, scenario)

@@ -7,17 +7,22 @@ fit, the stacked decay audit, the batched renewal) against the per-edge
 loops it replaced, the pruned C0 fit against the full spectrum, and the
 support-sized passes of a step (symmetry defect, change solve, the decay
 audit in closed form) and the series document written from the support
-against the full-width forms they replaced, and ``conjugated_rotation``
-and ``invert`` on degree-sized grids against the fixed grid they replaced.
+against the full-width forms they replaced, ``conjugated_rotation``
+and ``invert`` on degree-sized grids against the fixed grid they replaced,
+the circle evaluator by inverse FFT and the sup norms built on it against
+Horner, every chain expansion started at its Cauchy bound against the
+fixed grid, and the nesting verdict of ``compose_rows`` against the loop
+that weighs every factor at the reach.
 
 Each reference below is the replaced formulation kept verbatim, except
 ``majorant_loop``, which adds the same support terms as ``majorants``
 left to right in an explicit loop. Where the new code performs the same
 floating-point operations in the same order on every nonzero term,
 results must match exactly, not within a tolerance.
-The degree-sized expansion, the batched renewal and the two scenario
-builders sample a different grid and the stacked solve uses a
-pseudo-inverse instead of ``lstsq``; those match to round-off.
+The degree-sized expansion, the batched renewal, the two scenario
+builders and the bound-started chains sample a different grid, the FFT
+evaluator sums in another order and the stacked solve uses a
+pseudo-inverse instead of ``lstsq``; those match to a stated round-off.
 """
 
 import json
@@ -41,6 +46,7 @@ from circlekam import (
     KamParams,
     LaurentSeries,
     Nerve,
+    NestingError,
     TransitionSystem,
     ResonantModeError,
     UnitaryFlatBundle,
@@ -58,10 +64,14 @@ from circlekam.circle import (
     SYMMETRY_TOL,
     ExpandInfo,
     RotationConvergenceWarning,
+    _cauchy_start,
     _tracked_log,
+    _width_sums,
     apply_inverse,
     apply_inverses,
+    compose_rows,
     eval_diffeo,
+    expand_chain,
     expand_detailed,
     expand_rows_by_degree,
     renew_rows,
@@ -102,6 +112,7 @@ from circlekam.series import (
     coeffs_from_circle,
     decay_check,
     decay_checks,
+    empirical_sup_norms,
     eval_series,
     log_derivative_majorant,
     majorant_norm,
@@ -425,6 +436,26 @@ def expand_by_degree_loop(sample, degree, n_trunc, width):
             pass
         k = min(2 * k, n_trunc)
     return expand_detailed(sample(unit_circle(max(4 * n_trunc, 8))), n_trunc, width)
+
+
+def empirical_sup_norms_horner(hats, sigma_prime, samples):
+    """The sampled sup norms by Horner at the points ``e^{-sigma'}``, 1 and
+    ``e^{sigma'}`` times ``unit_circle(samples)``."""
+    radii = np.array([np.exp(-sigma_prime), 1.0, np.exp(sigma_prime)])
+    vals = SeriesRows.of(hats)((radii[:, None] * unit_circle(samples)).ravel())
+    return np.max(np.abs(vals), axis=-1, initial=0.0)
+
+
+def expand_chain_fixed_grid(factors, n_trunc, width):
+    """Each row of ``factors`` sampled point by point on the fixed grid of
+    ``max(4N, 8)`` points and expanded there: its map and :class:`ExpandInfo`."""
+    out = []
+    for r in range(len(factors[0][0])):
+        w = unit_circle(max(4 * n_trunc, 8))
+        for maps, inverse in factors:
+            w = apply_inverse(maps[r], w) if inverse else eval_diffeo(maps[r], w)
+        out.append(expand_detailed(w, n_trunc, width))
+    return out
 
 
 def renew_by_edge(edges, src, maps, dst, n_trunc, width):
@@ -1427,3 +1458,223 @@ def test_series_json_at_the_floor():
     doc = s.to_json_dict()
     assert [e[0] for e in doc["coeffs"]] == [-1, 1, 2]
     assert json.dumps(doc) == json.dumps(series_json_loop(s))
+
+
+# ---------------------------------------------------------------------------
+# the circle evaluator against Horner, the proven grid start against the
+# fixed grid
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def circle_bands(draw):
+    """A series of degree d <= 64, sparse or dense, reality-symmetric or
+    not, a log-radius rho in {-s, 0, s} inside its annulus and M >= 2d+1
+    points."""
+    d = draw(st.integers(0, 64))
+    width = draw(st.floats(0.05, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = np.arange(-d, d + 1)
+    band = (rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size))
+    band *= np.exp(-np.abs(n) * width * draw(st.floats(0.0, 1.5)))
+    if draw(st.booleans()):
+        band[rng.random(n.size) < 0.8] = 0.0
+    if draw(st.booleans()):
+        band = 0.5 * (band - np.conj(band[::-1]))
+    s = LaurentSeries(band, width)
+    rho = draw(st.sampled_from([-1.0, 0.0, 1.0])) * width * draw(st.floats(0.01, 0.999))
+    return s, rho, 2 * s.degree + 1 + draw(st.integers(0, 300))
+
+
+def _circle_roundoff(s, rho, samples):
+    """The round-off budget of ``on_circles`` against Horner at the same
+    points, ``u (5 log2 M + 34 d + 5) sum |c_n| e^{|n| |rho|}``.
+
+    The scatter weighs each c_n by ``e^{n rho}`` (2u), and each of the
+    log2 M passes of the inverse FFT rounds a twiddle product and a sum
+    (under 5u of the weighted sum). Horner runs on the rounded points
+    ``e^rho unit_circle(M)``: the angle ``2 pi k / M`` errs by up to 8 pi u
+    and the radius by 2u, so a point moves by under 28u |w|, which moves
+    the value by at most ``28 u sum |n| |c_n| |w|^n <= 28 d u sum``; its
+    passes round a complex product and a sum per coefficient (under 4u
+    each) and the reciprocal 1/w (d u more on the negative side)."""
+    n = np.arange(-s.degree, s.degree + 1)
+    weighted = float(np.sum(np.abs(s.band) * np.exp(np.abs(n) * abs(rho))))
+    return 2.0 ** -53 * (5.0 * math.log2(samples) + 34.0 * s.degree + 5.0) * weighted
+
+
+@settings(max_examples=200, deadline=None)
+@given(circle_bands())
+def test_circle_evaluator_equals_horner(data):
+    s, rho, samples = data
+    got = SeriesRows.of([s]).on_circles([rho], samples)
+    assert got.shape == (1, 1, samples)
+    want = SeriesRows.of([s])((np.exp(rho) * unit_circle(samples))[None])
+    assert np.max(np.abs(got[0] - want), initial=0.0) <= _circle_roundoff(s, rho, samples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(circle_bands(), min_size=1, max_size=4))
+def test_sup_norms_by_fft_equal_horner(data):
+    # the report's three circles in one stacked FFT against the Horner form
+    # it replaced, on the circles e^{-sigma'}, 1, e^{sigma'}
+    hats = [s for s, _, _ in data]
+    sigma = min(s.width for s in hats) * 0.7
+    samples = max(m for _, _, m in data)
+    got = empirical_sup_norms(hats, sigma, samples)
+    want = empirical_sup_norms_horner(hats, sigma, samples)
+    budget = [_circle_roundoff(s, sigma, samples) for s in hats]
+    assert np.all(np.abs(got - want) <= budget)
+
+
+def test_circle_evaluator_needs_2d_plus_1_points():
+    s = LaurentSeries.from_coeffs({5: 1.0, -2: 0.5}, 1.0)
+    rows = SeriesRows.of([s])
+    assert rows.on_circles([0.0, 0.5], 11).shape == (2, 1, 11)
+    with pytest.raises(InsufficientSamplesError):
+        rows.on_circles([0.0], 10)
+
+
+@st.composite
+def grid_chains(draw):
+    """One or two rows of a chain of 1-3 factors, each forward or inverse,
+    with reality-symmetric hats of degree 1-16 on width 1 whose
+    log-derivative majorant at the width is up to 0.5, and a truncation N."""
+    rows = draw(st.integers(1, 2))
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        maps = []
+        for _ in range(rows):
+            d = draw(st.integers(1, 16))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            n = np.arange(1, d + 1)
+            c = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) * np.exp(-0.5 * n)
+            c[rng.random(d) < 0.5] = 0.0
+            c[-1] = c[-1] or 1.0
+            coeffs = dict(zip(n.tolist(), c))
+            coeffs.update({-k: -np.conj(v) for k, v in coeffs.items()})
+            hat = LaurentSeries.from_coeffs(coeffs, 1.0)
+            q = draw(st.sampled_from([1e-9, 1e-5, 1e-2, 0.1, 0.5]))
+            hat = hat.scale(q / log_derivative_majorant(hat, 1.0))
+            maps.append(CircleDiffeo(draw(st.floats(0.0, TWO_PI, exclude_max=True)), hat))
+        factors.append((maps, draw(st.booleans())))
+    return factors, draw(st.sampled_from([32, 64, 128]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_chains())
+@example(([([CircleDiffeo(0.0, LaurentSeries.from_coeffs({1: 0.01, -1: -0.01}, 1.0))],
+            True)], 16))
+def test_proven_grid_start_never_under_resolves(data):
+    # expand_chain starts at the Cauchy bound's k and stops at the first grid
+    # whose tail band is clean; the fixed grid of max(4N, 8) points resolves
+    # every band the truncation keeps. An entry one side zeroes lies below
+    # the oracle's noise floor, give or take the round-off of the sampled
+    # max, and the DFTs' own round-off lies far below it, so the two agree
+    # within two floors. The one-mode psi is the inverse a start at the
+    # largest factor degree aliased to a residual of 1e-3
+    factors, n_t = data
+    try:
+        want = expand_chain_fixed_grid(factors, n_t, 0.5)
+    except CircleKamError as ref:
+        with np.errstate(all="ignore"), pytest.raises(type(ref)):
+            expand_chain(factors, n_t, 0.5)
+        return
+    got, infos = expand_chain(factors, n_t, 0.5)
+    for g, (w, info) in zip(got, want):
+        assert g.hat.truncation == n_t
+        assert _phase_gap(g.phase, w.phase) <= 2.0 * info.noise_floor
+        assert np.max(np.abs(g.hat.coeffs - w.hat.coeffs)) <= 2.0 * info.noise_floor
+
+
+def test_row_without_a_bound_takes_the_degree_start(caplog):
+    # q = 2.7 at the width: the inverse's displacement has no bound there,
+    # though the log-lift converges on the unit circle. That row starts at
+    # twice its degree, as every row did before the bound, while a bounded
+    # row beside it keeps its own bound
+    loose = CircleDiffeo(0.3, LaurentSeries.from_coeffs({1: 0.3, -1: -0.3}, 1.5))
+    tight = CircleDiffeo(0.3, LaurentSeries.from_coeffs({1: 1e-3, -1: -1e-3}, 1.5))
+    factors = [([loose, tight], True)]
+    k, s = _cauchy_start(factors, _width_sums(factors))
+    assert k[0] == np.inf and 0 < k[1] < np.inf and s[1] > 0
+    for maps, start in (([loose], 2), ([loose, tight], max(2, k[1]))):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="circlekam.circle"):
+            expand_chain([(maps, True)], 1024, 1.0)
+        (line,) = [r for r in caplog.records if r.msg.startswith("expand by degree")]
+        k_last, m, attempts, note = line.args
+        assert k_last == start * 2 ** (attempts - 1) and m == 4 * k_last
+        assert note == ("no bound" if len(maps) == 1 else
+                        f"bound k = {int(k[1])}, s = {s[1]:.6g}")
+
+
+def nesting_error_loop(chain, out_width):
+    """``compose_rows``' nesting certificate weighed at the reach, row by
+    row and factor by factor from the inside out: the first failing row,
+    its factor and the reach that left the factor's width, or None."""
+    for r in range(len(chain[0])):
+        x = out_width
+        for i in reversed(range(len(chain))):
+            f = chain[i][r]
+            if not x <= f.width:
+                return r, i, x
+            if i:
+                x += majorant_norm(f.hat, x)
+    return None
+
+
+@st.composite
+def nesting_chains(draw):
+    """One or two rows of 2-3 factors on widths in [0.5, 1.5], whose hats'
+    majorants at their widths run up to 0.4, and an output width up to the
+    least of those widths: chains that nest, chains that fail, and chains
+    that nest by the reach but not at the widths. Half of them have the
+    outermost factor's width moved to within 1e-3 of the reach that meets
+    it, on either side."""
+    rows = draw(st.integers(1, 2))
+    chain = []
+    for _ in range(draw(st.integers(2, 3))):
+        maps = []
+        for _ in range(rows):
+            width = draw(st.floats(0.5, 1.5))
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            d = draw(st.integers(1, 8))
+            c = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            coeffs = dict(zip(range(1, d + 1), c))
+            coeffs.update({-k: -np.conj(v) for k, v in coeffs.items()})
+            hat = LaurentSeries.from_coeffs(coeffs, width, 8)
+            hat = hat.scale(draw(st.floats(0.0, 0.4)) / majorant_norm(hat, width))
+            maps.append(CircleDiffeo(0.0, hat))
+        chain.append(maps)
+    least = min(f.width for maps in chain for f in maps)
+    out_width = least * draw(st.floats(0.05, 1.0))
+    shift = draw(st.sampled_from([None, -1e-3, -1e-9, 0.0, 1e-9, 1e-3]))
+    if shift is not None:
+        for r, f in enumerate(chain[0]):
+            x = out_width
+            for maps in chain[:0:-1]:
+                x += majorant_norm(maps[r].hat, x) if x <= maps[r].width else np.inf
+            if x < np.inf:
+                chain[0][r] = CircleDiffeo(0.0, f.hat.with_width(x * (1.0 + shift)))
+    return chain, out_width
+
+
+@settings(max_examples=200, deadline=None)
+@given(nesting_chains())
+def test_nesting_verdict_equals_the_reach_loop(data):
+    # compose_rows skips the weighing at the reach where the majorants at
+    # the widths already nest the chain; its verdict and message are those
+    # of the loop that always weighs at the reach
+    chain, out_width = data
+    want = nesting_error_loop(chain, out_width)
+    try:
+        with np.errstate(all="ignore"):
+            compose_rows(chain, out_width, 8)
+    except NestingError as exc:
+        r, i, x = want
+        assert str(exc).startswith(f"factor {i}: ")
+        assert f"into width {x:.6g}, outside its domain width {chain[i][r].width:.6g}" in str(exc)
+        return
+    except CircleKamError:
+        pass
+    assert want is None
