@@ -367,22 +367,20 @@ def expand_rows_by_degree(sample, degrees, n_trunc: int, width: float,
             for p, h in zip(phases, hats)], infos
 
 
-def _width_sums(factors) -> dict:
-    """``{id(hat): (majorant, log-derivative majorant)}``, both at the hat's
-    own width, for each distinct hat of a chain (``(maps, inverse)`` pairs),
-    from one stacked :func:`majorants` call."""
-    hats = list({id(f.hat): f.hat for row, _ in factors for f in row}.values())
-    widths = [h.width for h in hats]
-    maj = majorants(hats + hats, widths + widths,
-                    [0] * len(hats) + [1] * len(hats)).tolist()
-    return {id(h): (m, q) for h, m, q in zip(hats, maj, maj[len(hats):])}
+def _width_sums(factors) -> list:
+    """The weights of a chain (``(maps, inverse)`` pairs): per factor a
+    (2, rows) array, each row's hat's majorant and log-derivative majorant
+    at the hat's own width, from one stacked :func:`majorants` call."""
+    hats = [f.hat for maps, _ in factors for f in maps]
+    maj = majorants(hats * 2, [h.width for h in hats] * 2, np.repeat([0, 1], len(hats)))
+    return list(maj.reshape(2, len(factors), -1).swapaxes(0, 1))
 
 
-def _cauchy_start(factors, sums: dict) -> tuple[list, list]:
+def _cauchy_start(factors, weights) -> tuple[list, list]:
     """Per row of a chain (``(maps, inverse)`` pairs in the order applied,
     as in :func:`expand_chain`), the proven start truncation k of its grid
-    and the log-radius s it holds on, from its :func:`_width_sums` and no
-    samples; k is inf where the chain nests on no annulus.
+    and the log-radius s it holds on, from its weights (:func:`_width_sums`)
+    and no samples; k is inf where the chain nests on no annulus.
 
     In the log coordinate ``zeta = log w`` factor j moves zeta, anywhere on
     its strip ``|Re zeta| <= width``, by at most D_j. A forward factor moves
@@ -410,19 +408,20 @@ def _cauchy_start(factors, sums: dict) -> tuple[list, list]:
     ``|c_n| <= G2 e^{-|n| s}`` for ``|n| > d``; k is the least with ``G
     e^{-(k+1) s} <= NOISE_FLOOR_FACTOR / 4``, or, if smaller, the larger of
     d and the least with ``G2 e^{-(k+1) s} <= NOISE_FLOOR_FACTOR / 4``. A
-    displacement that is not finite leaves the row with no bound.
+    displacement that is not finite leaves the row with no bound; a NaN
+    weight makes its s NaN.
     """
     # the recursion over a chain's few factors is scalar
+    table = [w.tolist() for w in weights]
     starts, radii = [], []
     for r in range(len(factors[0][0])):
         s, reach, rest, degree = math.inf, 0.0, 0.0, 0
-        for row, inverse in factors:
-            hat = row[r].hat
-            m, q = sums[id(hat)]
+        for (row, inverse), (maj, qs) in zip(factors, table):
+            hat, m, q = row[r].hat, maj[r], qs[r]
             move, own = m, 0.0
             if inverse:
                 move = own = m / (1.0 - q) if q < 1.0 else math.inf
-            s = min(s, hat.width - reach - own)
+            s = min(hat.width - reach - own, s)   # a NaN sticks
             rest += q * (reach + own)
             reach += move
             degree = max(degree, hat.degree)
@@ -444,7 +443,7 @@ def _least_k(bound: float, s: float) -> float:
     return math.ceil(math.log(4.0 / NOISE_FLOOR_FACTOR * bound) / s) - 1
 
 
-def expand_chain(factors, n_trunc: int, width: float, labels=None, sums=None):
+def expand_chain(factors, n_trunc: int, width: float, labels=None, bound=None):
     """Row r: the composite of ``factors``, expanded by
     :func:`expand_rows_by_degree`: the one sampler of every composite map
     and of every inverse. Each factor is a pair ``(maps, inverse)``, in the
@@ -465,10 +464,11 @@ def expand_chain(factors, n_trunc: int, width: float, labels=None, sums=None):
     Beyond the largest factor degree only the second-order rests of the
     factors' moves contribute, which gives a second, often smaller start
     (:func:`_cauchy_start`). G enters k through its log only, so weighing
-    each factor at its width rather than at the reach costs little, and it
-    takes one stacked majorant call per chain (:func:`_width_sums`, or
-    ``sums`` when the caller has them). A row whose chain nests on no
-    annulus starts at twice the sum of its factors' degrees.
+    each factor at its width rather than at the reach costs little: one
+    stacked majorant call per chain (:func:`_width_sums`), or none when the
+    caller passes the ``(k, s)`` rows of :func:`_cauchy_start` as ``bound``.
+    A row whose chain nests on no annulus starts at twice the sum of its
+    factors' degrees.
 
     The innermost factor, when it is a forward one, is evaluated on the
     sampling grid itself by one inverse FFT whenever the grid has ``2d+1``
@@ -476,7 +476,8 @@ def expand_chain(factors, n_trunc: int, width: float, labels=None, sums=None):
     """
     rows = [(_rows_of(maps), inverse) for maps, inverse in factors]
     degrees = [sum(f.hat.degree for f in row) for row in zip(*(m for m, _ in factors))]
-    bound = _cauchy_start(factors, _width_sums(factors) if sums is None else sums)
+    if bound is None:
+        bound = _cauchy_start(factors, _width_sums(factors))
 
     def sample(w):
         errs: dict = {}
@@ -491,10 +492,12 @@ def expand_chain(factors, n_trunc: int, width: float, labels=None, sums=None):
     return expand_rows_by_degree(sample, degrees, n_trunc, width, labels, bound)
 
 
-def renew_rows(src, maps, dst, n_trunc: int, width: float, labels=None):
+def renew_rows(src, maps, dst, n_trunc: int, width: float, weights, labels=None):
     """``dst[r]^{-1} o maps[r] o src[r]`` for every row r by :func:`expand_chain`:
-    the renewed maps and their :class:`ExpandInfo`."""
-    return expand_chain([(src, False), (maps, False), (dst, True)], n_trunc, width, labels)
+    the renewed maps and their :class:`ExpandInfo`; the grid starts at the
+    Cauchy bound of the three factors' ``weights`` (as :func:`_width_sums`)."""
+    factors = [(src, False), (maps, False), (dst, True)]
+    return expand_chain(factors, n_trunc, width, labels, _cauchy_start(factors, weights))
 
 
 def _bump_weights(iters: int) -> np.ndarray:
@@ -588,16 +591,16 @@ def compose_rows(chain, out_width: float, n_trunc: int, labels=None) -> tuple[li
     factor's majorant at the reach. A failing row is weighed no further;
     the first failing row's :class:`NestingError`, naming the factor and
     prefixed with the row's label, is raised before any row is sampled.
-    The majorants at the factors' widths, which the grid bound of
-    :func:`expand_chain` takes anyway, bound those at the reach: a chain
-    they nest with a relative margin of ``1e-12`` (which covers the
-    rounding of the sums) nests by the reach too, and is not weighed
-    again."""
+    The grid bound of :func:`expand_chain` weighs the factors at their
+    widths anyway, and those majorants bound the ones at the reach: a row
+    whose log-radius s (:func:`_cauchy_start`) exceeds ``out_width`` by
+    ``1e-12`` times the widest factor's width, which covers the rounding of
+    the sums, nests by the reach too; if all rows do, none is weighed again."""
     factors = [(maps, False) for maps in reversed(chain)]
-    sums = _width_sums(factors) if len(chain) > 1 else None
+    bound = _cauchy_start(factors, _width_sums(factors)) if len(chain) > 1 else None
+    margin = 1e-12 * max(f.width for maps in chain for f in maps)
     errors: dict = {}
-    if sums is None or not all(_nests_at_widths(factors, sums, out_width, r)
-                               for r in range(len(chain[0]))):
+    if bound is None or not all(s - out_width >= margin for s in bound[1]):
         reach = np.full(len(chain[0]), float(out_width))
         for i in reversed(range(len(chain))):
             for r, (x, f) in enumerate(zip(reach.tolist(), chain[i])):
@@ -613,19 +616,7 @@ def compose_rows(chain, out_width: float, n_trunc: int, labels=None) -> tuple[li
     if len(chain) == 1:
         return ([CircleDiffeo(f.phase, f.hat.with_width(out_width)) for f in chain[0]],
                 [ExpandInfo(0.0, 0.0, 0.0) for _ in chain[0]])
-    return expand_chain(factors, n_trunc, out_width, labels, sums)
-
-
-def _nests_at_widths(factors, sums: dict, out_width: float, r: int) -> bool:
-    """Row r of a forward chain nests when each factor is weighed at its
-    width: the reach from ``out_width``, grown by those majorants, stays
-    below each factor's width by a relative margin of ``1e-12``."""
-    reach = out_width
-    for maps, _ in factors:
-        if not reach <= maps[r].width * (1.0 - 1e-12):
-            return False
-        reach += sums[id(maps[r].hat)][0]
-    return True
+    return expand_chain(factors, n_trunc, out_width, labels, bound)
 
 
 def compose(

@@ -381,10 +381,12 @@ def solve_modes(
     modes: Sequence[int],
     b,
     solvability_tol: float | None = None,
-) -> list:
+) -> tuple:
     """Minimum 2-norm least-squares solutions of
     ``e^{i n phi_e} a_k - a_j = b_e`` for every listed mode at once; row i of
     ``b`` (shape (len(modes), edges)) holds the data of ``modes[i]``.
+    Returns arrays: the solutions (len(modes), charts) and per mode the
+    defect inf-norm, the amplification ``max_j |a_j| / max_e |b_e|`` and the kernel flag.
 
     Rank deficiency means the n-twisted parallel transport is globally
     consistent: on a nerve with cycles that is a resonance (some loop has
@@ -413,17 +415,17 @@ def solve_modes(
     b_norm = np.max(np.abs(bmat), axis=-1, initial=0.0)
     amp = np.divide(np.max(np.abs(sol), axis=-1, initial=0.0), b_norm,
                     where=b_norm > 0, out=np.zeros(modes.size))
-    out = []
-    for i, n in enumerate(modes.tolist()):
+    # a connected nerve has cycles when it has more edges than a spanning tree
+    fails = deficient & (n_edges >= len(bundle.nerve.charts))
+    if solvability_tol is not None:
+        fails |= residual > solvability_tol
+    if fails.any():
+        i = int(np.argmax(fails))
         if deficient[i]:
-            _raise_if_resonant(bundle, n)
-        if solvability_tol is not None and residual[i] > solvability_tol:
-            raise CoboundaryError(mode=n, residual=float(residual[i]),
-                                  norm=float(b_norm[i]))
-        out.append(ModeCochainSolution(
-            n=n, a=sol[i], residual=float(residual[i]),
-            amplification=float(amp[i]), has_kernel=bool(deficient[i])))
-    return out
+            _raise_if_resonant(bundle, int(modes[i]))
+        raise CoboundaryError(mode=int(modes[i]), residual=float(residual[i]),
+                              norm=float(b_norm[i]))
+    return sol, residual, amp, deficient
 
 
 def solve_mode(
@@ -443,7 +445,8 @@ def solve_mode(
             raise ValidationError(
                 f"b must have one entry per edge ({len(nerve.edges)}), got {bvec.shape}"
             )
-    return solve_modes(bundle, [n], bvec[None, :], solvability_tol)[0]
+    sol, residual, amp, kernel = solve_modes(bundle, [n], bvec[None, :], solvability_tol)
+    return ModeCochainSolution(int(n), sol[0], float(residual[0]), float(amp[0]), bool(kernel[0]))
 
 
 def _exact_norms(bundle: UnitaryFlatBundle, modes: np.ndarray) -> np.ndarray:

@@ -496,6 +496,13 @@ def gate_check(system: TransitionSystem, params: KamParams) -> GateReport:
 # ---------------------------------------------------------------------------
 
 
+def _walk_order(populated: np.ndarray) -> np.ndarray:
+    """The populated indices of a band ``-k..k`` in the (|n|, -n) order of
+    their modes n, in which the first failing mode is reported, by the key ``2|n| - (n > 0)``."""
+    cols, k = np.flatnonzero(populated), (populated.size - 1) // 2
+    return cols[np.argsort(2 * np.abs(cols - k) - (cols > k))]
+
+
 def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
                    eta_m: float, report: StepReport) -> dict:
     """Solve every populated mode and assemble the per-chart change hats.
@@ -503,8 +510,7 @@ def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
     Every pass runs over the band ``|n| <= k``, k the largest hat degree (at
     most N): modes beyond are zero in every hat and project to exact zeros,
     so each change hat has the bits of the pass over all 2N+1."""
-    nerve = system.nerve
-    bundle = system.bundle()
+    charts = system.nerve.charts
     k = min(params.n_trunc, max((f.hat.degree for f in system.transitions), default=0))
     hats = np.array([f.hat.dense(k) for f in system.transitions])
     populated = np.any(np.abs(hats) > 0, axis=0)
@@ -512,17 +518,13 @@ def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
     # solvability is judged against the dominant mode of the step; sub-scale
     # modes carry round-off whose inconsistency means nothing
     scale = float(np.max(np.abs(hats[:, populated]))) if populated.any() else 0.0
-    coeffs = np.zeros((len(nerve.charts), 2 * k + 1), dtype=complex)
-    # walked in (|n|, -n) order: the first failing mode is the one reported
-    modes = sorted((np.flatnonzero(populated) - k).tolist(),
-                   key=lambda n: (abs(n), -n))
-    cols = np.array(modes, dtype=int) + k
-    sols = solve_modes(bundle, modes, hats[:, cols].T,
-                       solvability_tol=COBOUNDARY_REL_TOL * scale)
-    for col, sol in zip(cols, sols):
-        coeffs[:, col] = sol.a
-    report.worst_mode_residual = max((sol.residual for sol in sols), default=0.0)
-    report.modes_solved = len(modes)
+    coeffs = np.zeros((len(charts), 2 * k + 1), dtype=complex)
+    cols = _walk_order(populated)
+    sol, residual, _, _ = solve_modes(system.bundle(), cols - k, hats[:, cols].T,
+                                      solvability_tol=COBOUNDARY_REL_TOL * scale)
+    coeffs[:, cols] = sol.T
+    report.worst_mode_residual = max(residual.tolist(), default=0.0)
+    report.modes_solved = cols.size
 
     # one projection of the whole block onto the reality-symmetric subspace
     flipped = np.conj(coeffs[:, ::-1])
@@ -530,7 +532,7 @@ def _solve_changes(system: TransitionSystem, params: KamParams, sigma_m: float,
     _certify(report, "change_reality_symmetry", report.symmetry_projection,
              SYMMETRY_PROJECTION_TOL)
     return {c: CircleDiffeo(0.0, LaurentSeries.from_band(row, sigma_m - eta_m, params.n_trunc))
-            for c, row in zip(nerve.charts, 0.5 * (coeffs - flipped))}
+            for c, row in zip(charts, 0.5 * (coeffs - flipped))}
 
 
 def _decay_failures(hats, entry: np.ndarray) -> int:
@@ -586,10 +588,11 @@ def kam_step(
         clock = now
 
     # entry gate of the induction, with the transitions' nesting majorants
-    # in the same block; the sampled sup norm rides along in the report but
-    # never drives a comparison
-    maj = majorants(hats + hats, np.repeat([sigma_m, sigma_m - 3.0 * eta_m], count))
-    entry, nest_maps = maj[:count], maj[count:]
+    # and the renewal's weights (majorant, log-derivative majorant at their
+    # width) in the same block; the sampled sup norm only rides along
+    maj = majorants(hats * 4, [sigma_m] * count + [sigma_m - 3.0 * eta_m] * count
+                    + [h.width for h in hats] * 2, np.repeat([0, 0, 0, 1], count))
+    entry, nest_maps, own = maj[:count], maj[count:2 * count], maj[2 * count:].reshape(2, count)
     report.max_hat_norm = max_maj = float(np.max(entry, initial=0.0))
     degree = max((h.degree for h in hats), default=0)
     report.max_hat_empirical = float(np.max(
@@ -634,11 +637,13 @@ def kam_step(
     _certify(report, "annulus_nesting", np.max(nest), eta_m)
     lap("certificates")
 
-    # renewal: psi_k^{-1} o f o psi_j of every edge on the shrunk annulus, in
-    # one batched pass per grid, the grid sized by the factors' degrees
+    # renewal of every edge, psi_k^{-1} o f o psi_j, batched from the weights' Cauchy bound; at
+    # the changes' width sigma_m - eta_m their weights are cmaj's nu = 1 and derivative rows
+    at_ends = np.stack([power[:, 0], cmaj[power.size:]])[:, system.nerve.ends]
     new_transitions, infos = renew_rows(
         [psis[e.src] for e in edges], system.transitions, [psis[e.dst] for e in edges],
-        params.n_trunc, sigma_next, labels=[f"edge {e}" for e in edges])
+        params.n_trunc, sigma_next, [at_ends[..., 0], own, at_ends[..., 1]],
+        labels=[f"edge {e}" for e in edges])
     d = np.abs(np.array([f.phase for f in new_transitions])
                - np.array([f.phase for f in system.transitions])) % TWO_PI
     report.grid_points["renewal"] = infos[0].points if infos else 0
@@ -788,8 +793,9 @@ def run(system: TransitionSystem, params: KamParams) -> RunResult:
             report.wall_ms = (time.perf_counter() - t0) * 1000.0
             trace.rows.append(report)
             max_maj = report.certificates["contraction_claim"].lhs
-        phis = [identity_map(params.sigma0) for _ in charts]
-        if chain:
+        if not chain:
+            phis = [identity_map(params.sigma0) for _ in charts]
+        else:
             t0 = time.perf_counter()
             phis, infos = compose_rows(chain, sigma_m, params.n_trunc,
                                        labels=[f"chart {c}" for c in charts])

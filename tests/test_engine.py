@@ -8,8 +8,10 @@ import pytest
 from circlekam import (
     CircleDiffeo,
     Conjugacy,
+    Edge,
     KamParams,
     LaurentSeries,
+    Nerve,
     NestingError,
     ResonantModeError,
     Scenario,
@@ -31,10 +33,10 @@ from circlekam import (
     schedule,
     unit_circle,
 )
-from circlekam import cocycle, engine
+from circlekam import circle, cocycle, engine
 from circlekam.engine import CERTIFICATES, CSV_HEADER, StepReport, _certify, resolve_c0
 
-from circlekam.circle import eval_diffeos
+from circlekam.circle import _width_sums, eval_diffeos
 
 from conftest import GOLDEN, arnold_scenario, random_symmetric_hat, safe_rotation_numbers
 
@@ -347,6 +349,75 @@ class TestKamStep:
         assert want.converged and want.steps == 1 and wide.params.strict_schedule
         assert got.converged and got.steps == want.steps
         assert got.conjugation_residual == want.conjugation_residual
+
+    @staticmethod
+    def _step_systems():
+        """A genus-2, a single-chart and a four-chart system (a star from U0
+        plus an edge U2 -> U3) inside the gate, and a step-0 document whose
+        transition hat is wider than the system width."""
+        rng = np.random.default_rng(31)
+        psi = CircleDiffeo(0.0, random_symmetric_hat(rng, 1.2, 5e-7))
+        th = safe_rotation_numbers(rng, 3)
+        turned = [conjugated_rotation(psi, TWO_PI * t, 16, 1.0) for t in th]
+        genus2 = build_genus2(*turned[:2], 1.0, eta0=0.05, n_trunc=16,
+                              strict_schedule=False)
+        charts = ("U0", "U1", "U2", "U3")
+        edges = (Edge("U0", "U1", "+"), Edge("U0", "U1", "-"), Edge("U0", "U2", "+"),
+                 Edge("U0", "U3", "+"), Edge("U2", "U3", "x"))
+        maps = [*turned, conjugated_rotation(psi, 0.0, 16, 1.0), turned[0]]
+        star = Scenario("star", TransitionSystem(Nerve(charts, edges), maps, 1.0),
+                        KamParams(1.0, eta0=0.05, n_trunc=16, strict_schedule=False))
+        doc = golden_scenario(5e-7, strict=False).to_json_dict()
+        doc["edges"][0]["hat"]["sigma"] = 1.5
+        wide = Scenario.from_json_dict(doc)
+        assert wide.system.transitions[0].width == 1.5 > wide.system.width
+        return [genus2, golden_scenario(5e-7, strict=False), star, wide]
+
+    def test_renewal_weights_are_the_width_sums(self, monkeypatch):
+        # the step hands the renewal the weights its certificate blocks took:
+        # bit for bit the ones _width_sums weighs for the same three factors
+        real = engine.renew_rows
+        seen = []
+
+        def renew_rows(src, maps, dst, n_trunc, width, weights, labels=None):
+            seen.append(([(src, False), (maps, False), (dst, True)], weights))
+            return real(src, maps, dst, n_trunc, width, weights, labels)
+
+        monkeypatch.setattr(engine, "renew_rows", renew_rows)
+        for sc in self._step_systems():
+            seen.clear()
+            kam_step(sc.system, 0, resolve_c0(sc.system, sc.params))
+            ((factors, got),) = seen
+            want = _width_sums(factors)
+            assert [w.shape for w in got] == [w.shape for w in want]
+            assert [w.tobytes() for w in got] == [w.tobytes() for w in want], sc.name
+
+    def test_a_step_weighs_three_times_and_the_renewal_never(self, monkeypatch):
+        # the entry block, the change block and the contraction claim; the
+        # renewal reads the weights of the first two
+        calls = []
+        real = engine.majorants
+
+        def majorants(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (engine, cocycle, circle):
+            monkeypatch.setattr(module, "majorants", majorants)
+        real_renew, in_renewal = engine.renew_rows, []
+
+        def renew_rows(*args, **kwargs):
+            before = len(calls)
+            out = real_renew(*args, **kwargs)
+            in_renewal.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(engine, "renew_rows", renew_rows)
+        for sc in self._step_systems():
+            params = resolve_c0(sc.system, sc.params)
+            calls.clear()
+            kam_step(sc.system, 0, params)
+            assert len(calls) == 3 and in_renewal[-1] == 0, sc.name
 
     def test_strict_gate_abort(self):
         sc = golden_scenario(1e-4, strict=True)

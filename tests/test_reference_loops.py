@@ -11,8 +11,9 @@ against the full-width forms they replaced, ``conjugated_rotation``
 and ``invert`` on degree-sized grids against the fixed grid they replaced,
 the circle evaluator by inverse FFT and the sup norms built on it against
 Horner, every chain expansion started at its Cauchy bound against the
-fixed grid, and the nesting verdict of ``compose_rows`` against the loop
-that weighs every factor at the reach.
+fixed grid, the nesting verdict of ``compose_rows`` against the loop
+that weighs every factor at the reach, and the integer walk order of a
+step's modes against the Python sort key it replaced.
 
 Each reference below is the replaced formulation kept verbatim, except
 ``majorant_loop``, which adds the same support terms as ``majorants``
@@ -102,6 +103,7 @@ from circlekam.engine import (
     _certify,
     _decay_failures,
     _solve_changes,
+    _walk_order,
     resolve_c0,
 )
 from circlekam.series import (
@@ -409,11 +411,11 @@ def solve_changes_full(system, params, sigma_m, eta_m, report):
     modes = sorted((np.flatnonzero(populated) - n_t).tolist(),
                    key=lambda k: (abs(k), -k))
     cols = np.array(modes, dtype=int) + n_t
-    sols = solve_modes(bundle, modes, hats[:, cols].T,
-                       solvability_tol=COBOUNDARY_REL_TOL * scale)
-    for col, sol in zip(cols, sols):
-        coeffs[:, col] = sol.a
-    report.worst_mode_residual = max((sol.residual for sol in sols), default=0.0)
+    sols, residuals, _, _ = solve_modes(bundle, modes, hats[:, cols].T,
+                                        solvability_tol=COBOUNDARY_REL_TOL * scale)
+    for col, a in zip(cols, sols):
+        coeffs[:, col] = a
+    report.worst_mode_residual = max(residuals.tolist(), default=0.0)
     report.modes_solved = len(modes)
     flipped = np.conj(coeffs[:, ::-1])
     report.symmetry_projection = float(np.max(np.abs(coeffs + flipped)))
@@ -456,6 +458,11 @@ def expand_chain_fixed_grid(factors, n_trunc, width):
             w = apply_inverse(maps[r], w) if inverse else eval_diffeo(maps[r], w)
         out.append(expand_detailed(w, n_trunc, width))
     return out
+
+
+def renewal_weights(src, maps, dst):
+    """The weights ``renew_rows`` takes, weighed by ``_width_sums``."""
+    return _width_sums([(src, False), (maps, False), (dst, True)])
 
 
 def renew_by_edge(edges, src, maps, dst, n_trunc, width):
@@ -884,11 +891,19 @@ def _kept_condition(bundle, n):
 # sqrt(6) 1e-12, ties the rank floor RANK_RCOND * s_max
 _TIED_RANK = (genus2_bundle(0.0, 1e-12), [6], np.array([[1.0, 1j, -1.0, 0.5]]))
 
+# genus-2 phases (2 pi/3, 0, 2 pi/3, 0): mode 3 is resonant, and the data
+# rows are no coboundary at modes 2 and 4, so two modes fail in one call,
+# the coboundary failure before the resonance or after it
+_TWO_FAILURES = (genus2_bundle(TWO_PI / 3, TWO_PI / 3),
+                 np.array([[1.0, 1j, -1.0, 0.5], [1.0, 1j, -1.0, 0.5]]), 1e-6)
+
 
 @settings(max_examples=150, deadline=None)
 @given(step_systems())
 @example((*_TIED_RANK, None))
 @example((*_TIED_RANK, 1e-6))
+@example((_TWO_FAILURES[0], [2, 3], *_TWO_FAILURES[1:]))
+@example((_TWO_FAILURES[0], [3, 4], *_TWO_FAILURES[1:]))
 def test_stacked_step_solve_matches_lstsq(system):
     bundle, modes, b, tol = system
     try:
@@ -910,9 +925,11 @@ def test_stacked_step_solve_matches_lstsq(system):
             slack = 4.0 * np.finfo(float).eps * s_max * float(np.max(np.abs(x_ref)))
             assert abs(got.value.residual - ref.residual) <= 1e-6 * ref.residual + slack
         return
-    got = solve_modes(bundle, modes, b, tol)
-    assert [s.n for s in got] == [s.n for s in want]
-    for g, w, row in zip(got, want, b):
+    sol, residual, amplification, kernel = solve_modes(bundle, modes, b, tol)
+    assert sol.shape == (len(modes), len(bundle.nerve.charts))
+    assert residual.shape == amplification.shape == kernel.shape == (len(modes),)
+    for g_a, g_res, g_amp, g_kernel, w, row in zip(sol, residual, amplification, kernel,
+                                                   want, b):
         # least-squares solutions agree to about eps * kappa^2 relative to the
         # data (the perturbation bound of the least-squares problem, Golub and
         # Van Loan, Matrix Computations, ch. 5), kappa over the kept singular
@@ -920,11 +937,29 @@ def test_stacked_step_solve_matches_lstsq(system):
         kappa = _kept_condition(bundle, w.n)
         bound = 1e-14 * (1.0 + kappa) ** 2 * max(float(np.max(np.abs(row))),
                                                  float(np.max(np.abs(w.a))))
-        assert g.has_kernel == w.has_kernel
-        assert np.max(np.abs(g.a - w.a)) <= bound
-        assert abs(g.residual - w.residual) <= 2.0 * np.sqrt(row.size) * bound
-        assert abs(g.amplification - w.amplification) <= (
+        assert g_kernel == w.has_kernel
+        assert np.max(np.abs(g_a - w.a)) <= bound
+        assert abs(g_res - w.residual) <= 2.0 * np.sqrt(row.size) * bound
+        assert abs(g_amp - w.amplification) <= (
             bound / max(float(np.max(np.abs(row))), 1e-300))
+
+
+@st.composite
+def populated_bands(draw):
+    """A band ``-k..k``, k up to 1024, with a populated mask of mixed density."""
+    k = draw(st.integers(0, 1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1.0]))
+    return k, rng.random(2 * k + 1) < density
+
+
+@settings(max_examples=100, deadline=None)
+@given(populated_bands())
+def test_walk_order_equals_the_sorted_key(data):
+    # the integer key of _solve_changes against the Python sort it replaced
+    k, populated = data
+    want = sorted((np.flatnonzero(populated) - k).tolist(), key=lambda n: (abs(n), -n))
+    assert (_walk_order(populated) - k).tolist() == want
 
 
 def test_stacked_step_solve_validates_shapes():
@@ -933,7 +968,9 @@ def test_stacked_step_solve_validates_shapes():
         solve_modes(bundle, [1, 0], np.zeros((2, 4)))
     with pytest.raises(ValidationError):
         solve_modes(bundle, [1, 2], np.zeros((2, 3)))
-    assert solve_modes(bundle, [], np.zeros((0, 4))) == []
+    sol, residual, amplification, kernel = solve_modes(bundle, [], np.zeros((0, 4)))
+    assert sol.shape == (0, 3)
+    assert residual.shape == amplification.shape == kernel.shape == (0,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1203,7 +1240,7 @@ def renewal_inputs(draw):
 def test_batched_renewal_matches_per_edge(data):
     src, maps, dst, n_t = data
     want = renew_by_edge(GENUS2_EDGES, src, maps, dst, n_t, 1.0)
-    got, infos = renew_rows(src, maps, dst, n_t, 1.0,
+    got, infos = renew_rows(src, maps, dst, n_t, 1.0, renewal_weights(src, maps, dst),
                             labels=[f"edge {e}" for e in GENUS2_EDGES])
     for g, info, (w, w_info) in zip(got, infos, want):
         # the shared grid is at least as fine as each edge's own, so the two
@@ -1230,7 +1267,8 @@ def test_batched_renewal_raises_as_per_edge(bad_chart):
     with pytest.raises(CircleKamError) as ref:
         renew_by_edge(GENUS2_EDGES, src, maps, dst, 64, 1.0)
     with np.errstate(all="ignore"), pytest.raises(CircleKamError) as got:
-        renew_rows(src, maps, dst, 64, 1.0, labels=[f"edge {e}" for e in GENUS2_EDGES])
+        renew_rows(src, maps, dst, 64, 1.0, renewal_weights(src, maps, dst),
+                   labels=[f"edge {e}" for e in GENUS2_EDGES])
     assert type(got.value) is type(ref.value)
     edge = str(ref.value).split(":")[0]
     assert edge.startswith("edge U0->" + bad_chart)
